@@ -6,17 +6,16 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 use zipper_types::{ByteSize, GlobalPos, StepId, WorkflowConfig};
-use zipper_workflow::{
-    run_workflow, run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions,
-};
+use zipper_workflow::{run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions};
 
 fn run_once(cfg: &WorkflowConfig, net: NetworkOptions) {
     let steps = cfg.steps;
     let slab = cfg.bytes_per_rank_step.as_u64() as usize;
-    let (report, _) = run_workflow(
+    let (report, _) = run_workflow_traced(
         cfg,
         net,
         StorageOptions::Memory,
+        TraceOptions::default(),
         move |rank, writer| {
             for s in 0..steps {
                 writer.write_slab(

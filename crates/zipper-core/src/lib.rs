@@ -33,7 +33,7 @@ pub mod transport_tcp;
 pub use assemble::{Slab, StepAssembler};
 pub use buffer::BlockQueue;
 pub use consumer::{Consumer, ConsumerRecovery, SharedConsumerPolicy, ZipperReader};
-pub use fault::{ChaosSender, FailingTransport, FaultKind, FaultPlan};
+pub use fault::ChaosSender;
 pub use metrics::{ConsumerMetrics, ProducerMetrics};
 pub use producer::{Producer, SharedProducerPolicy, ZipperWriter};
 pub use transport::{

@@ -276,42 +276,22 @@ impl Producer {
         sink: TraceSink,
         policy: SharedProducerPolicy,
     ) -> Producer {
-        Self::spawn_with_policy_detached(rank, tuning, mesh, storage, sink, policy, false)
+        Self::spawn_with_policy_gated(rank, tuning, mesh, storage, sink, policy, false, None)
     }
 
-    /// Like [`Producer::spawn_with_policy`], but optionally detaching the
-    /// sender thread from the data path — the chaos engine's
-    /// `ChaosFault::DetachSender`. A detached sender takes no blocks (with
-    /// the high-water mark at zero every block drains through the
-    /// work-stealing writer in production order, which makes the steal
-    /// schedule deterministic across substrates); it still waits for the
-    /// writer to retire, flushes the pending on-disk IDs, and announces
-    /// EOS. Requires `tuning.concurrent_transfer` — without a writer
-    /// thread a detached producer would ship nothing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_with_policy_detached(
-        rank: Rank,
-        tuning: ZipperTuning,
-        mesh: impl WireSender + 'static,
-        storage: Arc<dyn zipper_pfs::Storage>,
-        sink: TraceSink,
-        policy: SharedProducerPolicy,
-        detach_sender: bool,
-    ) -> Producer {
-        Self::spawn_with_policy_gated(
-            rank,
-            tuning,
-            mesh,
-            storage,
-            sink,
-            policy,
-            detach_sender,
-            None,
-        )
-    }
-
-    /// Like [`Producer::spawn_with_policy_detached`], plus an optional
-    /// [`SenderGate`] — the producer-side half of a
+    /// Like [`Producer::spawn_with_policy`], plus two chaos/backpressure
+    /// hooks.
+    ///
+    /// `detach_sender` detaches the sender thread from the data path — the
+    /// chaos engine's `ChaosFault::DetachSender`. A detached sender takes
+    /// no blocks (with the high-water mark at zero every block drains
+    /// through the work-stealing writer in production order, which makes
+    /// the steal schedule deterministic across substrates); it still waits
+    /// for the writer to retire, flushes the pending on-disk IDs, and
+    /// announces EOS. Requires `tuning.concurrent_transfer` — without a
+    /// writer thread a detached producer would ship nothing.
+    ///
+    /// `gate` is an optional [`SenderGate`] — the producer-side half of a
     /// [`zipper_types::BackpressureScript`]. The gate itself is driven by a
     /// `GatedSender` transport wrapper *outside* this module (it counts the
     /// rank's data wires and stalls at scripted ordinals); this spawn
@@ -1045,7 +1025,7 @@ mod tests {
             max_consumer_restarts: 0,
         };
         let policy = Arc::new(Mutex::new(ProducerPolicy::from_tuning(Rank(0), 1, &t)));
-        let mut prod = Producer::spawn_with_policy_detached(
+        let mut prod = Producer::spawn_with_policy_gated(
             Rank(0),
             t,
             mesh.sender(),
@@ -1053,6 +1033,7 @@ mod tests {
             TraceSink::default(),
             policy.clone(),
             true,
+            None,
         );
         let writer = prod.writer(4096);
         let collector = collect_rank0(&mesh, 2); // Net + Disk channel marks

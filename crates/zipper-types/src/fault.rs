@@ -1,17 +1,15 @@
 //! The deterministic chaos engine: substrate-independent fault scripts.
 //!
-//! Fault injection in Zipper predates this module as two hand-rolled
-//! every-N-th counters (the transport's failing wrapper and the PFS's
-//! failing fs). Both now share [`FaultSchedule`]. On top of it sits the
-//! chaos engine proper: a [`ChaosPlan`] is a *scripted* schedule of
-//! multi-fault events addressed by entity and operation ordinal — "the
-//! 3rd send of producer 1 is dropped", "the 2nd PFS put of writer 0
-//! fails", "analysis rank 1 crashes on its 5th read". Because ordinals
-//! count an entity's *own* operations (never wall or virtual time), the
-//! same plan is interpretable by the threaded runtime and the
-//! discrete-event simulator, and both degrade through the same
-//! policy-kernel decision sequence — the property the fault-conformance
-//! tests assert.
+//! A [`ChaosPlan`] is a *scripted* schedule of multi-fault events
+//! addressed by entity and operation ordinal — "the 3rd send of producer 1
+//! is dropped", "the 2nd PFS put of writer 0 fails", "analysis rank 1
+//! crashes on its 5th read". Periodic faults are the same data:
+//! [`ChaosPlan::every`] expands "every N-th operation" into one event per
+//! struck ordinal, so there is one fault script. Because ordinals count
+//! an entity's *own* operations (never wall or virtual time), the same
+//! plan is interpretable by the threaded runtime and the discrete-event
+//! simulator, and both degrade through the same policy-kernel decision
+//! sequence — the property the fault-conformance tests assert.
 //!
 //! Ordinal conventions (what each entity counts, identically on both
 //! substrates):
@@ -30,47 +28,6 @@
 use crate::ids::Rank;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A deterministic every-N-th fault schedule: the shared counter behind
-/// the transport- and storage-level failing wrappers.
-///
-/// Thread-safe and allocation-free; the same period always strikes the
-/// same operation ordinals, which keeps failure-injection tests
-/// reproducible.
-#[derive(Debug)]
-pub struct FaultSchedule {
-    every: u64,
-    ops: AtomicU64,
-}
-
-impl FaultSchedule {
-    /// Fault every `every`-th operation (1 = every operation).
-    pub fn every(every: u64) -> Self {
-        assert!(every >= 1, "fault period must be at least 1");
-        FaultSchedule {
-            every,
-            ops: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured period.
-    pub fn period(&self) -> u64 {
-        self.every
-    }
-
-    /// Count one operation. Returns `Some(n)` — the 1-based operation
-    /// ordinal — when this operation is scheduled to fault, `None` when
-    /// it should proceed normally.
-    pub fn strike(&self) -> Option<u64> {
-        let n = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
-        n.is_multiple_of(self.every).then_some(n)
-    }
-
-    /// Operations counted so far.
-    pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
-    }
-}
 
 /// An entity a chaos event addresses: one rank's sender thread, writer
 /// thread, Preserve output path, or analysis application.
@@ -152,6 +109,23 @@ impl ChaosPlan {
         self
     }
 
+    /// Builder: schedule `fault` on every `period`-th operation of
+    /// `entity` — ordinals `period, 2·period, …` up to and including
+    /// `through`. The plan stays plain data (one event per struck
+    /// ordinal), so preflight and the DES read a periodic script exactly
+    /// like a hand-written one. Panics on `period == 0` and on the
+    /// ordinal-free [`ChaosFault::DetachSender`].
+    pub fn every(self, entity: ChaosEntity, period: u64, through: u64, fault: ChaosFault) -> Self {
+        assert!(period >= 1, "fault period must be at least 1");
+        assert!(
+            fault != ChaosFault::DetachSender,
+            "DetachSender is ordinal-free and cannot repeat"
+        );
+        (period..=through)
+            .step_by(period as usize)
+            .fold(self, |plan, ordinal| plan.with(entity, ordinal, fault))
+    }
+
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -191,12 +165,15 @@ pub struct ChaosScope {
 
 impl ChaosScope {
     /// Count one operation; returns the fault scheduled for this
-    /// ordinal, if any.
+    /// ordinal, if any (the first one scripted, when several share it).
     pub fn next(&self) -> Option<ChaosFault> {
         let n = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
+        // `faults` is sorted stably by ordinal, so the partition point is
+        // the first event scripted for `n`.
+        let i = self.faults.partition_point(|&(ord, _)| ord < n);
         self.faults
-            .iter()
-            .find(|&&(ord, _)| ord == n)
+            .get(i)
+            .filter(|&&(ord, _)| ord == n)
             .map(|&(_, f)| f)
     }
 
@@ -221,29 +198,53 @@ impl ChaosScope {
 mod tests {
     use super::*;
 
-    #[test]
-    fn schedule_strikes_every_nth() {
-        let s = FaultSchedule::every(3);
-        assert_eq!(s.strike(), None); // op 1
-        assert_eq!(s.strike(), None); // op 2
-        assert_eq!(s.strike(), Some(3)); // op 3
-        assert_eq!(s.strike(), None); // op 4
-        assert_eq!(s.strike(), None); // op 5
-        assert_eq!(s.strike(), Some(6)); // op 6
-        assert_eq!(s.ops(), 6);
+    /// The ordinals at which `scope` strikes over its first `ops` operations.
+    fn struck(scope: &ChaosScope, ops: u64) -> Vec<(u64, ChaosFault)> {
+        (1..=ops)
+            .filter_map(|n| scope.next().map(|f| (n, f)))
+            .collect()
     }
 
     #[test]
-    fn schedule_period_one_always_strikes() {
-        let s = FaultSchedule::every(1);
-        assert_eq!(s.strike(), Some(1));
-        assert_eq!(s.strike(), Some(2));
+    fn every_generates_periodic_ordinals() {
+        use ChaosFault::{DropWire, PfsWriteFail};
+        let e = ChaosEntity::Writer(Rank(1));
+        let s = ChaosPlan::new().every(e, 3, 10, DropWire).scope(e);
+        assert_eq!(
+            struck(&s, 12),
+            [(3, DropWire), (6, DropWire), (9, DropWire)]
+        );
+        // Period 1 strikes every operation up to `through`, none after.
+        let s = ChaosPlan::new().every(e, 1, 2, PfsWriteFail).scope(e);
+        assert_eq!(struck(&s, 4), [(1, PfsWriteFail), (2, PfsWriteFail)]);
+        // `through < period`: nothing is scheduled.
+        assert!(ChaosPlan::new().every(e, 5, 4, DropWire).is_empty());
+    }
+
+    #[test]
+    fn scope_returns_the_first_fault_on_a_shared_ordinal() {
+        use ChaosFault::{DropEos, DropWire, FailSend};
+        let e = ChaosEntity::Sender(Rank(0));
+        let s = ChaosPlan::new()
+            .every(e, 2, 6, FailSend)
+            .with(e, 4, DropEos)
+            .every(e, 4, 8, DropWire)
+            .scope(e);
+        let want = [(2, FailSend), (4, FailSend), (6, FailSend), (8, DropWire)];
+        assert_eq!(struck(&s, 9), want);
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
-    fn schedule_rejects_zero_period() {
-        let _ = FaultSchedule::every(0);
+    fn every_rejects_zero_period() {
+        let _ = ChaosPlan::new().every(ChaosEntity::Sender(Rank(0)), 0, 4, ChaosFault::DropWire);
+    }
+
+    #[test]
+    #[should_panic(expected = "ordinal-free")]
+    fn every_rejects_detach_sender() {
+        let e = ChaosEntity::Sender(Rank(0));
+        let _ = ChaosPlan::new().every(e, 1, 4, ChaosFault::DetachSender);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! The rank-spawning driver.
 
-use crate::report::WorkflowReport;
+use crate::report::{WorkflowPolicies, WorkflowReport};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zipper_core::{
-    ChannelMesh, ChaosSender, Consumer, FailingTransport, FaultPlan, Producer, RetryingSender,
-    SharedConsumerPolicy, SharedProducerPolicy, TracedSender, WireSender, ZipperReader,
-    ZipperWriter,
+    ChannelMesh, ChaosSender, Consumer, Producer, RetryingSender, TracedSender, WireSender,
+    ZipperReader, ZipperWriter,
 };
 use zipper_pfs::{ChaosFs, MemFs, RetryingFs, Storage, ThrottledFs};
 use zipper_policy::{ConsumerPolicy, ProducerPolicy};
@@ -32,11 +31,13 @@ pub struct NetworkOptions {
     /// `Retry` spans on lane `net/p{rank}/retry` and counted in
     /// [`WorkflowReport::net_retries`].
     pub retry: Option<RetryPolicy>,
-    /// Optional fault injection: every producer's mesh endpoint is wrapped
-    /// in a [`FailingTransport`] misbehaving on this schedule. Composes
-    /// under the retry layer, so `FailSend` faults are retried while
-    /// `CorruptWire`/`DropEos` reach the consumer's fault handling.
-    pub fault: Option<FaultPlan>,
+    /// Scripted faults, empty by default: each entity the plan names gets
+    /// its injection wrapper (see [`run_workflow_traced`]). Sender faults
+    /// sit at the wire, under the retry layer, so `FailSend` faults are
+    /// retried while `CorruptWire`/`DropEos` reach the consumer's fault
+    /// handling. Periodic faults are plan events too
+    /// ([`ChaosPlan::every`]).
+    pub chaos: ChaosPlan,
     /// Optional scripted backpressure: each producer whose rank the script
     /// names gets its sender wrapped outermost in a [`GatedSender`]
     /// holding the scripted data-wire ordinals until their gate opens
@@ -51,7 +52,7 @@ impl Default for NetworkOptions {
             inbox_capacity: 64,
             throttle: None,
             retry: None,
-            fault: None,
+            chaos: ChaosPlan::new(),
             backpressure: None,
         }
     }
@@ -81,10 +82,9 @@ impl NetworkOptions {
         self
     }
 
-    /// Inject transport faults on `plan`'s schedule (see
-    /// [`NetworkOptions::fault`]).
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
+    /// Inject the faults `plan` scripts (see [`NetworkOptions::chaos`]).
+    pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
+        self.chaos = plan;
         self
     }
 
@@ -156,7 +156,7 @@ pub struct TraceOptions {
     /// `policy/p{rank}` / `policy/q{rank}` lanes of zero-duration
     /// [`zipper_trace::SpanKind::Policy`] markers into
     /// [`WorkflowReport::trace`]. Independent of `mode`. The recorded
-    /// kernels themselves are returned by [`run_workflow_recorded`].
+    /// kernels themselves land in [`WorkflowReport::policies`].
     pub policy: bool,
     /// Record cross-entity causal edges (wire ship→receive, queue
     /// push→pop, steal announce, gate open, PFS fetch, EOS fan-out) into
@@ -220,18 +220,12 @@ impl TraceOptions {
     }
 }
 
-/// The recorded policy kernels of a run, indexed by rank — the threaded
-/// counterpart of the DES's recorded build. Empty unless
-/// [`TraceOptions::policy`] was set.
-pub struct WorkflowPolicies {
-    pub producers: Vec<SharedProducerPolicy>,
-    pub consumers: Vec<SharedConsumerPolicy>,
-}
-
 /// Run a coupled workflow: `cfg.producers` simulation ranks each driving
 /// `produce(rank, &writer)`, and `cfg.consumers` analysis ranks each
-/// driving `consume(rank, &reader)` to completion. Traces with the default
-/// totals fidelity; see [`run_workflow_traced`] to choose.
+/// driving `consume(rank, &reader)` to completion. Every rank's runtime
+/// lanes record into one shared wall-clock [`TraceSink`] at the fidelity
+/// `trace` picks; the merged log lands in [`WorkflowReport::trace`] and
+/// the ranks' policy kernels in [`WorkflowReport::policies`].
 ///
 /// Contracts:
 /// * `produce` must return only after its last `write`; the driver calls
@@ -246,75 +240,9 @@ pub struct WorkflowPolicies {
 /// its drop guards, and the failure lands in
 /// [`WorkflowReport::failures`] (so a dead consumer contributes no result
 /// but the rest of the workflow still drains and reports).
-pub fn run_workflow<R, P, C>(
-    cfg: &WorkflowConfig,
-    net: NetworkOptions,
-    storage_opts: StorageOptions,
-    produce: P,
-    consume: C,
-) -> (WorkflowReport, Vec<R>)
-where
-    R: Send + 'static,
-    P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
-    C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
-{
-    run_workflow_traced(
-        cfg,
-        net,
-        storage_opts,
-        TraceOptions::default(),
-        produce,
-        consume,
-    )
-}
-
-/// [`run_workflow`] with explicit trace fidelity: every rank's runtime
-/// lanes record into one shared wall-clock [`TraceSink`], and the merged
-/// log lands in [`WorkflowReport::trace`].
-pub fn run_workflow_traced<R, P, C>(
-    cfg: &WorkflowConfig,
-    net: NetworkOptions,
-    storage_opts: StorageOptions,
-    trace: TraceOptions,
-    produce: P,
-    consume: C,
-) -> (WorkflowReport, Vec<R>)
-where
-    R: Send + 'static,
-    P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
-    C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
-{
-    let (report, results, _policies) =
-        run_workflow_recorded(cfg, net, storage_opts, trace, produce, consume);
-    (report, results)
-}
-
-/// [`run_workflow_traced`] that also returns the policy kernels, so a
-/// harness can extract canonical decision traces after the run (the
-/// threaded half of the conformance tests). The kernels record decisions
-/// only when [`TraceOptions::policy`] is set; they are built and shared
-/// with every rank's runtime threads either way.
-pub fn run_workflow_recorded<R, P, C>(
-    cfg: &WorkflowConfig,
-    net: NetworkOptions,
-    storage_opts: StorageOptions,
-    trace: TraceOptions,
-    produce: P,
-    consume: C,
-) -> (WorkflowReport, Vec<R>, WorkflowPolicies)
-where
-    R: Send + 'static,
-    P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
-    C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
-{
-    run_workflow_inner(cfg, net, storage_opts, trace, None, produce, consume)
-}
-
-/// [`run_workflow_recorded`] under a scripted [`ChaosPlan`] — the threaded
-/// half of the cross-substrate fault-conformance harness (the DES half
-/// interprets the identical plan in virtual time).
 ///
-/// Per entity of the plan, the driver arranges:
+/// The faults scripted in [`NetworkOptions::chaos`] are interpreted per
+/// entity — the same plan the DES interprets in virtual time:
 ///
 /// * `Sender(r)` — producer `r`'s mesh endpoint is wrapped innermost in a
 ///   [`ChaosSender`] striking the scripted wire ordinals; a
@@ -333,98 +261,22 @@ where
 ///   backlog is replayed from the Preserve store before a fresh reader
 ///   re-runs the `consume` closure. With the budget exhausted the rank is
 ///   abandoned fail-soft and reported in [`WorkflowReport::failures`].
+///   The supervisor also guards every consumer when
+///   `max_consumer_restarts > 0`, so organic panics are healed too.
 ///
-/// Restart replay requires Preserve mode to have made the backlog
-/// durable. Transport faults must be scripted through the plan —
-/// combining it with [`NetworkOptions::fault`] is rejected (the periodic
-/// schedule would shift every scripted ordinal).
-pub fn run_workflow_chaos<R, P, C>(
+/// An entity the plan does not name runs the plain stack (bar the restart
+/// budget above). Restart replay requires Preserve mode to have made the
+/// backlog durable. [`preflight_workflow`] verifies the same plan
+/// statically; a caller that must not run a provably broken plan checks
+/// its report first.
+pub fn run_workflow_traced<R, P, C>(
     cfg: &WorkflowConfig,
     net: NetworkOptions,
     storage_opts: StorageOptions,
     trace: TraceOptions,
-    plan: &ChaosPlan,
     produce: P,
     consume: C,
-) -> (WorkflowReport, Vec<R>, WorkflowPolicies)
-where
-    R: Send + 'static,
-    P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
-    C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
-{
-    assert!(
-        net.fault.is_none(),
-        "ChaosPlan and NetworkOptions::fault cannot be combined — script \
-         transport faults as ChaosPlan events instead"
-    );
-    run_workflow_inner(cfg, net, storage_opts, trace, Some(plan), produce, consume)
-}
-
-/// Statically verify the plan a threaded run would interpret — the
-/// workflow config, the scripted backpressure riding in `net`, and the
-/// optional chaos plan — without spawning a thread. The DES-side twin is
-/// `WorkflowSpec::preflight` in `zipper-transports`.
-pub fn preflight_workflow(
-    cfg: &WorkflowConfig,
-    net: &NetworkOptions,
-    chaos: Option<&ChaosPlan>,
-) -> zipper_policy::PreflightReport {
-    let mut input = zipper_policy::PreflightInput::from_config(cfg);
-    input.chaos = chaos.cloned();
-    input.backpressure = net.backpressure.clone();
-    zipper_policy::Preflight::check(&input)
-}
-
-/// [`run_workflow_chaos`] behind the opt-in static preflight gate: the
-/// plan is verified first ([`preflight_workflow`]) and a plan with any
-/// error-severity diagnostic — a provable deadlock, a dead chaos
-/// ordinal, an unhealable crash — is refused with the report instead of
-/// hanging the run. Warnings and lints do not block; they ride back in
-/// the report alongside the workflow results.
-#[allow(clippy::type_complexity)]
-pub fn run_workflow_checked<R, P, C>(
-    cfg: &WorkflowConfig,
-    net: NetworkOptions,
-    storage_opts: StorageOptions,
-    trace: TraceOptions,
-    plan: &ChaosPlan,
-    produce: P,
-    consume: C,
-) -> Result<
-    (
-        WorkflowReport,
-        Vec<R>,
-        WorkflowPolicies,
-        zipper_policy::PreflightReport,
-    ),
-    Box<zipper_policy::PreflightReport>,
->
-where
-    R: Send + 'static,
-    P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
-    C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
-{
-    let preflight = preflight_workflow(cfg, &net, (!plan.is_empty()).then_some(plan));
-    if preflight.is_rejected() {
-        return Err(Box::new(preflight));
-    }
-    let (report, results, policies) = if plan.is_empty() {
-        run_workflow_recorded(cfg, net, storage_opts, trace, produce, consume)
-    } else {
-        run_workflow_chaos(cfg, net, storage_opts, trace, plan, produce, consume)
-    };
-    Ok((report, results, policies, preflight))
-}
-
-fn run_workflow_inner<R, P, C>(
-    cfg: &WorkflowConfig,
-    net: NetworkOptions,
-    storage_opts: StorageOptions,
-    trace: TraceOptions,
-    chaos: Option<&ChaosPlan>,
-    produce: P,
-    consume: C,
-) -> (WorkflowReport, Vec<R>, WorkflowPolicies)
+) -> (WorkflowReport, Vec<R>)
 where
     R: Send + 'static,
     P: Fn(Rank, &ZipperWriter) + Send + Sync + 'static,
@@ -489,15 +341,8 @@ where
         }
         let policy = Arc::new(Mutex::new(cp));
         policies.consumers.push(policy.clone());
-        // Chaos: scripted Preserve-store faults hit this rank's output
-        // thread through a ChaosFs wrap of the shared store.
-        let consumer_storage: Arc<dyn Storage> = match chaos {
-            Some(plan) => Arc::new(ChaosFs::new(
-                storage.clone(),
-                Arc::new(plan.scope(ChaosEntity::Output(rank))),
-            )),
-            None => storage.clone(),
-        };
+        // Scripted Preserve-store faults hit this rank's output thread.
+        let consumer_storage = entity_storage(&storage, &net.chaos, ChaosEntity::Output(rank));
         let app_policy = policy.clone();
         let mut c = Consumer::spawn_with_policy(
             rank,
@@ -509,69 +354,69 @@ where
             policy,
         );
         let consume = consume.clone();
-        let app: Box<dyn FnOnce() -> Result<R, RuntimeError> + Send> = match chaos {
-            None => {
-                let reader = c.reader();
-                Box::new(
-                    move || match catch_unwind(AssertUnwindSafe(|| consume(rank, &reader))) {
-                        Ok(r) => Ok(r),
-                        Err(payload) => {
-                            // Explicit for the reader: the drop guard closes the
-                            // queue and records the abandoned stream.
-                            drop(reader);
-                            Err(RuntimeError::AppPanicked {
-                                rank,
-                                role: "consumer app",
-                                detail: panic_detail(payload.as_ref()),
-                            })
-                        }
-                    },
-                )
-            }
-            Some(plan) => {
-                // Restart supervisor: scripted CrashApp ordinals (and any
-                // organic panic) are caught, the policy kernel arbitrates
-                // the restart budget, and the delivered backlog is
-                // replayed from the Preserve store before a fresh reader
-                // re-runs the closure — the decision sequence
-                // (reader_abandoned / consumer_restarted) mirrors the DES
-                // analysis proc exactly.
-                let recovery = c.recovery(Some(Arc::new(plan.scope(ChaosEntity::Analysis(rank)))));
-                let replay_storage = storage.clone();
-                Box::new(move || loop {
-                    let reader = recovery.fresh_reader();
-                    let run = catch_unwind(AssertUnwindSafe(|| consume(rank, &reader)));
-                    drop(reader);
-                    let payload = match run {
-                        Ok(r) => break Ok(r),
-                        Err(payload) => payload,
-                    };
-                    let may_restart = {
-                        let mut p = app_policy.lock();
-                        p.reader_abandoned();
-                        p.may_restart()
-                    };
-                    if !may_restart {
+        let analysis_scope = net.chaos.scope(ChaosEntity::Analysis(rank));
+        let supervised =
+            !analysis_scope.is_empty() || cfg.tuning.recovery.max_consumer_restarts > 0;
+        let app: Box<dyn FnOnce() -> Result<R, RuntimeError> + Send> = if !supervised {
+            let reader = c.reader();
+            Box::new(
+                move || match catch_unwind(AssertUnwindSafe(|| consume(rank, &reader))) {
+                    Ok(r) => Ok(r),
+                    Err(payload) => {
+                        // Explicit for the reader: the drop guard closes the
+                        // queue and records the abandoned stream.
+                        drop(reader);
+                        Err(RuntimeError::AppPanicked {
+                            rank,
+                            role: "consumer app",
+                            detail: panic_detail(payload.as_ref()),
+                        })
+                    }
+                },
+            )
+        } else {
+            // Restart supervisor: scripted CrashApp ordinals (and any
+            // organic panic) are caught, the policy kernel arbitrates
+            // the restart budget, and the delivered backlog is
+            // replayed from the Preserve store before a fresh reader
+            // re-runs the closure — the decision sequence
+            // (reader_abandoned / consumer_restarted) mirrors the DES
+            // analysis proc exactly.
+            let recovery = c.recovery(Some(Arc::new(analysis_scope)));
+            let replay_storage = storage.clone();
+            Box::new(move || loop {
+                let reader = recovery.fresh_reader();
+                let run = catch_unwind(AssertUnwindSafe(|| consume(rank, &reader)));
+                drop(reader);
+                let payload = match run {
+                    Ok(r) => break Ok(r),
+                    Err(payload) => payload,
+                };
+                let may_restart = {
+                    let mut p = app_policy.lock();
+                    p.reader_abandoned();
+                    p.may_restart()
+                };
+                if !may_restart {
+                    recovery.abandon();
+                    break Err(RuntimeError::AppPanicked {
+                        rank,
+                        role: "consumer app",
+                        detail: panic_detail(payload.as_ref()),
+                    });
+                }
+                match recovery.replay_from(&replay_storage, Duration::from_secs(5)) {
+                    Ok(replayed) => app_policy.lock().consumer_restarted(replayed),
+                    Err(e) => {
                         recovery.abandon();
                         break Err(RuntimeError::AppPanicked {
                             rank,
                             role: "consumer app",
-                            detail: panic_detail(payload.as_ref()),
+                            detail: format!("backlog replay after a crash failed: {e}"),
                         });
                     }
-                    match recovery.replay_from(&replay_storage, Duration::from_secs(5)) {
-                        Ok(replayed) => app_policy.lock().consumer_restarted(replayed),
-                        Err(e) => {
-                            recovery.abandon();
-                            break Err(RuntimeError::AppPanicked {
-                                rank,
-                                role: "consumer app",
-                                detail: format!("backlog replay after a crash failed: {e}"),
-                            });
-                        }
-                    }
-                })
-            }
+                }
+            })
         };
         consumer_runtimes.push(c);
         let spawned = std::thread::Builder::new()
@@ -595,14 +440,12 @@ where
         let rank = Rank(p as u32);
         // Compose innermost-out: fault injection sits at the wire (as a
         // lossy network would), tracing observes it, retry rides over it.
-        // Scripted chaos and the periodic FailingTransport are mutually
-        // exclusive (enforced by `run_workflow_chaos`).
-        let sender_scope = chaos.map(|plan| Arc::new(plan.scope(ChaosEntity::Sender(rank))));
-        let detach_sender = sender_scope.as_ref().is_some_and(|s| s.detached());
-        let base: Box<dyn WireSender> = match (&sender_scope, net.fault) {
-            (Some(scope), _) => Box::new(ChaosSender::new(mesh.sender(), scope.clone())),
-            (None, Some(plan)) => Box::new(FailingTransport::new(mesh.sender(), plan)),
-            (None, None) => Box::new(mesh.sender()),
+        let sender_scope = net.chaos.scope(ChaosEntity::Sender(rank));
+        let detach_sender = sender_scope.detached();
+        let base: Box<dyn WireSender> = if sender_scope.is_empty() {
+            Box::new(mesh.sender())
+        } else {
+            Box::new(ChaosSender::new(mesh.sender(), Arc::new(sender_scope)))
         };
         let traced: Box<dyn WireSender> = if trace.wire_lanes && trace.mode.enabled() {
             Box::new(TracedSender::new(base, &sink, format!("net/p{p}")))
@@ -640,15 +483,8 @@ where
         }
         let policy = Arc::new(Mutex::new(pp));
         policies.producers.push(policy.clone());
-        // Chaos: scripted PFS faults hit this rank's writer thread through
-        // a ChaosFs wrap of the shared store.
-        let producer_storage: Arc<dyn Storage> = match chaos {
-            Some(plan) => Arc::new(ChaosFs::new(
-                storage.clone(),
-                Arc::new(plan.scope(ChaosEntity::Writer(rank))),
-            )),
-            None => storage.clone(),
-        };
+        // Scripted PFS faults hit this rank's writer thread.
+        let producer_storage = entity_storage(&storage, &net.chaos, ChaosEntity::Writer(rank));
         let mut prod = Producer::spawn_with_policy_gated(
             rank,
             cfg.tuning,
@@ -768,8 +604,40 @@ where
         causal: sink.causal().snapshot(),
         metrics: telemetry.snapshot(),
         samples,
+        policies,
     };
-    (report, results, policies)
+    (report, results)
+}
+
+/// Statically verify the plan a threaded run would interpret — the
+/// workflow config plus the chaos plan and scripted backpressure riding in
+/// `net` — without spawning a thread. A plan with any error-severity
+/// diagnostic (a provable deadlock, a dead chaos ordinal, an unhealable
+/// crash) is [`zipper_policy::PreflightReport::is_rejected`]. The DES-side
+/// twin is `WorkflowSpec::preflight` in `zipper-transports`.
+pub fn preflight_workflow(
+    cfg: &WorkflowConfig,
+    net: &NetworkOptions,
+) -> zipper_policy::PreflightReport {
+    let mut input = zipper_policy::PreflightInput::from_config(cfg);
+    input.chaos = Some(net.chaos.clone());
+    input.backpressure = net.backpressure.clone();
+    zipper_policy::Preflight::check(&input)
+}
+
+/// `storage` as `entity` sees it: behind a [`ChaosFs`] when the plan
+/// scripts faults for it, the shared store itself otherwise.
+fn entity_storage(
+    storage: &Arc<dyn Storage>,
+    plan: &ChaosPlan,
+    entity: ChaosEntity,
+) -> Arc<dyn Storage> {
+    let scope = plan.scope(entity);
+    if scope.is_empty() {
+        storage.clone()
+    } else {
+        Arc::new(ChaosFs::new(storage.clone(), Arc::new(scope)))
+    }
 }
 
 #[cfg(test)]
@@ -808,10 +676,11 @@ mod tests {
     fn counts_blocks_end_to_end() {
         let c = cfg(3, 2, 4);
         let expected_blocks = c.total_blocks();
-        let (report, counts) = run_workflow(
+        let (report, counts) = run_workflow_traced(
             &c,
             NetworkOptions::default(),
             StorageOptions::Memory,
+            TraceOptions::default(),
             slab_producer(&c),
             |_rank, reader| {
                 let mut n = 0u64;
@@ -832,10 +701,11 @@ mod tests {
     fn preserve_mode_lands_everything_on_storage() {
         let mut c = cfg(2, 1, 3);
         c.tuning.preserve = PreserveMode::Preserve;
-        let (report, _) = run_workflow(
+        let (report, _) = run_workflow_traced(
             &c,
             NetworkOptions::default(),
             StorageOptions::Memory,
+            TraceOptions::default(),
             slab_producer(&c),
             |_, reader| while reader.read().is_some() {},
         );
@@ -848,10 +718,11 @@ mod tests {
         let mut c = cfg(2, 1, 6);
         c.tuning.producer_slots = 4;
         c.tuning.high_water_mark = 1;
-        let (report, _) = run_workflow(
+        let (report, _) = run_workflow_traced(
             &c,
             NetworkOptions::throttled(1, 2e6, Duration::ZERO),
             StorageOptions::Memory,
+            TraceOptions::default(),
             slab_producer(&c),
             |_, reader| while reader.read().is_some() {},
         );
@@ -872,7 +743,7 @@ mod tests {
     fn recorded_run_returns_policies_and_injects_policy_lanes() {
         use zipper_trace::SpanKind;
         let c = cfg(2, 2, 3);
-        let (report, _, policies) = run_workflow_recorded(
+        let (report, _) = run_workflow_traced(
             &c,
             NetworkOptions::default(),
             StorageOptions::Memory,
@@ -881,6 +752,7 @@ mod tests {
             |_, reader| while reader.read().is_some() {},
         );
         report.assert_complete();
+        let policies = &report.policies;
         assert_eq!(policies.producers.len(), 2);
         assert_eq!(policies.consumers.len(), 2);
         // Every producer routed all of its blocks and announced EOS to
@@ -1117,7 +989,7 @@ mod tests {
             ids.sort_unstable();
             ids
         };
-        let (clean_report, clean, _) = run_workflow_recorded(
+        let (clean_report, clean) = run_workflow_traced(
             &c,
             NetworkOptions::default(),
             StorageOptions::Memory,
@@ -1128,15 +1000,15 @@ mod tests {
         clean_report.assert_complete();
 
         let plan = ChaosPlan::new().with(ChaosEntity::Analysis(Rank(1)), 3, ChaosFault::CrashApp);
-        let (report, got, policies) = run_workflow_chaos(
+        let (report, got) = run_workflow_traced(
             &c,
-            NetworkOptions::default(),
+            NetworkOptions::default().with_chaos(plan),
             StorageOptions::Memory,
             TraceOptions::default().with_policy(),
-            &plan,
             slab_producer(&c),
             digest,
         );
+        let policies = &report.policies;
         // The injected crash is reported (ReaderAbandoned on the replayed
         // rank) but recovered: no app-level failure, full output.
         assert!(report.failures.is_empty(), "{:?}", report.failures);
@@ -1157,12 +1029,11 @@ mod tests {
         c.tuning.preserve = PreserveMode::Preserve;
         // Default recovery: zero restart budget.
         let plan = ChaosPlan::new().with(ChaosEntity::Analysis(Rank(0)), 2, ChaosFault::CrashApp);
-        let (report, counts, _) = run_workflow_chaos(
+        let (report, counts) = run_workflow_traced(
             &c,
-            NetworkOptions::default(),
+            NetworkOptions::default().with_chaos(plan),
             StorageOptions::Memory,
             TraceOptions::default(),
-            &plan,
             slab_producer(&c),
             |_, reader| {
                 let mut n = 0u64;
@@ -1203,12 +1074,11 @@ mod tests {
             plan = plan.with(ChaosEntity::Sender(Rank(p)), 1, ChaosFault::DetachSender);
         }
         let expected = c.total_blocks();
-        let (report, counts, policies) = run_workflow_chaos(
+        let (report, counts) = run_workflow_traced(
             &c,
-            NetworkOptions::default(),
+            NetworkOptions::default().with_chaos(plan),
             StorageOptions::Memory,
             TraceOptions::default().with_policy(),
-            &plan,
             slab_producer(&c),
             |_, reader| {
                 let mut n = 0u64;
@@ -1230,7 +1100,7 @@ mod tests {
             report.errors()
         );
         assert_eq!(counts.iter().sum::<u64>(), expected, "no block lost");
-        let t0 = policies.producers[0].lock().trace().canonical();
+        let t0 = report.policies.producers[0].lock().trace().canonical();
         assert_eq!(t0.revivals, 1, "the faulted writer was revived");
         assert!(
             t0.retires.len() >= 2,
@@ -1248,10 +1118,11 @@ mod tests {
     fn message_only_mode_never_steals() {
         let mut c = cfg(2, 1, 4);
         c.tuning.concurrent_transfer = false;
-        let (report, _) = run_workflow(
+        let (report, _) = run_workflow_traced(
             &c,
             NetworkOptions::throttled(1, 2e6, Duration::ZERO),
             StorageOptions::Memory,
+            TraceOptions::default(),
             slab_producer(&c),
             |_, reader| while reader.read().is_some() {},
         );

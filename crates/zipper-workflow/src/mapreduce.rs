@@ -17,7 +17,7 @@
 //! application receives data blocks and analyzes them accordingly,
 //! followed by asynchronous reduction operations" (§6.3).
 
-use crate::driver::{run_workflow, NetworkOptions, StorageOptions};
+use crate::driver::{run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions};
 use crate::report::WorkflowReport;
 use std::sync::Arc;
 use zipper_core::ZipperWriter;
@@ -44,19 +44,26 @@ where
     let reduce = Arc::new(reduce);
     let rank_reduce = reduce.clone();
 
-    let (report, partials) = run_workflow(cfg, net, storage, produce, move |_rank, reader| {
-        // Per-rank incremental reduction: fold each block's mapped value
-        // as it arrives, keeping memory constant.
-        let mut acc: Option<V> = None;
-        while let Some(block) = reader.read() {
-            let v = map(&block);
-            acc = Some(match acc.take() {
-                Some(a) => rank_reduce(a, v),
-                None => v,
-            });
-        }
-        acc
-    });
+    let (report, partials) = run_workflow_traced(
+        cfg,
+        net,
+        storage,
+        TraceOptions::default(),
+        produce,
+        move |_rank, reader| {
+            // Per-rank incremental reduction: fold each block's mapped value
+            // as it arrives, keeping memory constant.
+            let mut acc: Option<V> = None;
+            while let Some(block) = reader.read() {
+                let v = map(&block);
+                acc = Some(match acc.take() {
+                    Some(a) => rank_reduce(a, v),
+                    None => v,
+                });
+            }
+            acc
+        },
+    );
 
     // Cross-rank reduction of the per-consumer partials.
     let total = partials.into_iter().flatten().reduce(|a, b| reduce(a, b));

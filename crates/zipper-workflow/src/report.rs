@@ -12,13 +12,22 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
-use zipper_core::{ConsumerMetrics, ProducerMetrics};
+use zipper_core::{ConsumerMetrics, ProducerMetrics, SharedConsumerPolicy, SharedProducerPolicy};
 use zipper_trace::render::{render_timeline, render_timeline_critical, RenderOptions};
 use zipper_trace::{
     stats, CausalGraph, CausalLog, CriticalPath, KindBreakdown, MetricsSnapshot, SampleSeries,
     SpanKind, TraceLog, WindowStats,
 };
 use zipper_types::{RuntimeError, SimTime};
+
+/// The policy kernels of a run, indexed by rank — the threaded
+/// counterpart of the DES's recorded build. Their decision traces are
+/// empty unless the run set [`crate::TraceOptions::policy`].
+#[derive(Clone, Debug, Default)]
+pub struct WorkflowPolicies {
+    pub producers: Vec<SharedProducerPolicy>,
+    pub consumers: Vec<SharedConsumerPolicy>,
+}
 
 /// Everything measured in one coupled run.
 #[derive(Clone, Debug)]
@@ -63,6 +72,10 @@ pub struct WorkflowReport {
     /// Queue-depth and stall-time series sampled over the run by the
     /// wall-clock sampler thread (empty when telemetry was off).
     pub samples: SampleSeries,
+    /// Every rank's policy kernel, so a harness can extract canonical
+    /// decision traces after the run (the threaded half of the
+    /// conformance tests).
+    pub policies: WorkflowPolicies,
 }
 
 impl WorkflowReport {
@@ -354,6 +367,7 @@ mod tests {
             causal: CausalLog::new(),
             metrics: MetricsSnapshot::default(),
             samples: SampleSeries::default(),
+            policies: WorkflowPolicies::default(),
         }
     }
 
@@ -467,6 +481,7 @@ mod tests {
             causal: CausalLog::new(),
             metrics: MetricsSnapshot::default(),
             samples: SampleSeries::default(),
+            policies: WorkflowPolicies::default(),
         };
         assert_eq!(r.mean_stall(), Duration::ZERO);
         assert_eq!(r.steal_fraction(), 0.0);

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use zipper_apps::analysis::{decode_scalar_field, MomentAccumulator};
 use zipper_apps::lbm::Lbm;
 use zipper_types::{ByteSize, GlobalPos, StepId, WorkflowConfig};
-use zipper_workflow::{run_workflow, NetworkOptions, StorageOptions};
+use zipper_workflow::{run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions};
 
 const STEPS: u64 = 12;
 const GRID: (usize, usize, usize) = (24, 16, 16);
@@ -42,10 +42,11 @@ fn main() {
     // Per-rank diagnostic: mean streamwise velocity at the last step.
     let final_velocity = Mutex::new(vec![0.0f64; cfg.producers]);
 
-    let (report, results) = run_workflow(
+    let (report, results) = run_workflow_traced(
         &cfg,
         NetworkOptions::default(),
         StorageOptions::Memory,
+        TraceOptions::default(),
         {
             move |rank, writer| {
                 // Gravity-driven channel flow, slightly different force per

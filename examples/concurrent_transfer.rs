@@ -9,7 +9,9 @@
 use bytes::Bytes;
 use std::time::Duration;
 use zipper_types::{ByteSize, GlobalPos, StepId, WorkflowConfig};
-use zipper_workflow::{run_workflow, NetworkOptions, StorageOptions, WorkflowReport};
+use zipper_workflow::{
+    run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions, WorkflowReport,
+};
 
 fn run(concurrent: bool) -> WorkflowReport {
     let mut cfg = WorkflowConfig {
@@ -30,10 +32,11 @@ fn run(concurrent: bool) -> WorkflowReport {
     let net = NetworkOptions::throttled(2, 4e6, Duration::from_micros(200));
     let storage = StorageOptions::ThrottledMemory(40e6, Duration::from_millis(1));
 
-    let (report, _) = run_workflow(
+    let (report, _) = run_workflow_traced(
         &cfg,
         net,
         storage,
+        TraceOptions::default(),
         move |rank, writer| {
             for step in 0..6u64 {
                 let slab = vec![rank.0 as u8 ^ step as u8; 1 << 20];

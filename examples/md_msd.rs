@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use zipper_apps::analysis::mean_squared_displacement;
 use zipper_apps::md::{decode_positions, LjMd};
 use zipper_types::{Block, ByteSize, GlobalPos, StepId, WorkflowConfig};
-use zipper_workflow::{run_workflow, NetworkOptions, StorageOptions};
+use zipper_workflow::{run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions};
 
 const STEPS: u64 = 10;
 const MD_SUBSTEPS: u32 = 20; // MD steps between outputs (output every k, §4.4)
@@ -44,10 +44,11 @@ fn main() {
     // move), so precompute them identically on both sides from the seed.
     let reference = |rank: u32| LjMd::fcc(FCC_CELLS, 0.8, 0.7, 42 + rank as u64);
 
-    let (report, mut results) = run_workflow(
+    let (report, mut results) = run_workflow_traced(
         &cfg,
         NetworkOptions::default(),
         StorageOptions::Memory,
+        TraceOptions::default(),
         move |rank, writer| {
             let mut md = reference(rank.0);
             for step in 0..STEPS {

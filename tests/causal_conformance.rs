@@ -40,8 +40,7 @@ use zipper_types::{
     PreserveMode, Rank, RecoveryPolicy, RoutingPolicy, StepId, WorkflowConfig,
 };
 use zipper_workflow::{
-    run_workflow_chaos, run_workflow_recorded, NetworkOptions, StorageOptions, TraceOptions,
-    WorkflowPolicies, WorkflowReport,
+    run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions, WorkflowReport,
 };
 
 const BLOCK: u64 = 16 << 10;
@@ -128,9 +127,10 @@ impl Scenario {
     }
 
     fn net_options(&self) -> NetworkOptions {
-        match &self.backpressure {
-            Some(script) => NetworkOptions::default().with_backpressure(script.clone()),
-            None => NetworkOptions::default(),
+        NetworkOptions {
+            chaos: self.chaos.clone(),
+            backpressure: self.backpressure.clone(),
+            ..Default::default()
         }
     }
 
@@ -149,30 +149,20 @@ impl Scenario {
             while reader.read().is_some() {}
         };
         let trace = TraceOptions::full().with_causal();
+        let (report, _): (_, Vec<()>) = run_workflow_traced(
+            &cfg,
+            self.net_options(),
+            StorageOptions::Memory,
+            trace,
+            produce,
+            consume,
+        );
         if self.chaos.is_empty() {
-            let (report, _, _): (_, Vec<()>, WorkflowPolicies) = run_workflow_recorded(
-                &cfg,
-                self.net_options(),
-                StorageOptions::Memory,
-                trace,
-                produce,
-                consume,
-            );
             report.assert_complete();
-            report
         } else {
-            let (report, _, _): (_, Vec<()>, WorkflowPolicies) = run_workflow_chaos(
-                &cfg,
-                self.net_options(),
-                StorageOptions::Memory,
-                trace,
-                &self.chaos,
-                produce,
-                consume,
-            );
             assert!(report.failures.is_empty(), "{:?}", report.failures);
-            report
         }
+        report
     }
 
     /// Run on the DES with causal edges; return the span trace and the

@@ -5,19 +5,22 @@
 //!
 //! The matrix below drives every injectable fault through the full
 //! workflow driver: PFS write/read failures (`FailingFs`, with and without
-//! the retry layer), transport faults (`FailingTransport`: transient send
-//! failures, corrupt wires, swallowed EOS markers), and asserts each run
-//! terminates with the failure *typed* in the [`WorkflowReport`] — never a
-//! hang, never a panic, never silent loss.
+//! the retry layer), transport faults (periodic `ChaosPlan` sender events
+//! set with `NetworkOptions::with_chaos`: transient send failures, corrupt
+//! wires, swallowed EOS markers), and asserts each run terminates with the
+//! failure *typed* in the [`WorkflowReport`] — never a hang, never a
+//! panic, never silent loss.
 
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::Duration;
-use zipper_core::{FaultKind, FaultPlan};
 use zipper_pfs::{FailingFs, MemFs};
 use zipper_trace::SpanKind;
-use zipper_types::{ByteSize, GlobalPos, RetryPolicy, RuntimeError, StepId, WorkflowConfig};
-use zipper_workflow::{run_workflow, NetworkOptions, StorageOptions};
+use zipper_types::{
+    ByteSize, ChaosEntity, ChaosFault, ChaosPlan, GlobalPos, Rank, RetryPolicy, RuntimeError,
+    StepId, WorkflowConfig,
+};
+use zipper_workflow::{run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions};
 
 fn cfg() -> WorkflowConfig {
     let mut cfg = WorkflowConfig {
@@ -33,9 +36,18 @@ fn cfg() -> WorkflowConfig {
     cfg
 }
 
-fn produce(
-    cfg: &WorkflowConfig,
-) -> impl Fn(zipper_types::Rank, &zipper_core::ZipperWriter) + Send + Sync {
+/// `fault` on every `period`-th counted wire of every producer's sender,
+/// up to the most wires a sender counts: one per block plus one
+/// message-channel EOS per consumer (retried attempts count too, so a
+/// retried run may send past the bound, unstruck).
+fn every_sender_wire(cfg: &WorkflowConfig, period: u64, fault: ChaosFault) -> ChaosPlan {
+    let counted = cfg.steps * cfg.blocks_per_rank_step() + cfg.consumers as u64;
+    (0..cfg.producers).fold(ChaosPlan::new(), |plan, p| {
+        plan.every(ChaosEntity::Sender(Rank(p as u32)), period, counted, fault)
+    })
+}
+
+fn produce(cfg: &WorkflowConfig) -> impl Fn(Rank, &zipper_core::ZipperWriter) + Send + Sync {
     let steps = cfg.steps;
     let slab = cfg.bytes_per_rank_step.as_u64() as usize;
     move |rank, writer| {
@@ -56,11 +68,12 @@ fn produce(
 fn pfs_write_failure_degrades_to_message_only_without_data_loss() {
     let cfg = cfg();
     let storage = Arc::new(FailingFs::new(MemFs::new(), 1)); // fail every op
-    let (report, counts) = run_workflow(
+    let (report, counts) = run_workflow_traced(
         &cfg,
         // Slow channel so stealing definitely engages (and then fails).
         NetworkOptions::throttled(1, 2e6, Duration::ZERO),
         StorageOptions::Custom(storage),
+        TraceOptions::default(),
         produce(&cfg),
         |_r, reader| {
             let mut n = 0u64;
@@ -99,10 +112,11 @@ fn pfs_write_failure_degrades_to_message_only_without_data_loss() {
 fn intermittent_pfs_faults_are_accounted_exactly() {
     let cfg = cfg();
     let storage = Arc::new(FailingFs::new(MemFs::new(), 7));
-    let (report, counts) = run_workflow(
+    let (report, counts) = run_workflow_traced(
         &cfg,
         NetworkOptions::throttled(1, 2e6, Duration::ZERO),
         StorageOptions::Custom(storage),
+        TraceOptions::default(),
         produce(&cfg),
         |_r, reader| {
             let mut n = 0u64;
@@ -137,7 +151,7 @@ fn intermittent_pfs_faults_are_accounted_exactly() {
 fn pfs_retry_layer_rides_over_intermittent_faults() {
     let cfg = cfg();
     let storage = Arc::new(FailingFs::new(MemFs::new(), 5)); // fail every 5th op
-    let (report, counts) = run_workflow(
+    let (report, counts) = run_workflow_traced(
         &cfg,
         // Slow channel so the disk path (and thus the faulty PFS) engages.
         NetworkOptions::throttled(1, 2e6, Duration::ZERO),
@@ -146,6 +160,7 @@ fn pfs_retry_layer_rides_over_intermittent_faults() {
             Duration::from_micros(200),
             Duration::from_millis(2),
         )),
+        TraceOptions::default(),
         produce(&cfg),
         |_r, reader| {
             let mut n = 0u64;
@@ -179,16 +194,17 @@ fn pfs_retry_layer_rides_over_intermittent_faults() {
 #[test]
 fn transient_send_failures_ride_over_net_retry() {
     let cfg = cfg();
-    let (report, counts) = run_workflow(
+    let (report, counts) = run_workflow_traced(
         &cfg,
         NetworkOptions::unthrottled(4)
-            .with_fault(FaultPlan::every(FaultKind::FailSend, 7))
+            .with_chaos(every_sender_wire(&cfg, 7, ChaosFault::FailSend))
             .with_retry(RetryPolicy::new(
                 3,
                 Duration::from_micros(200),
                 Duration::from_millis(2),
             )),
         StorageOptions::Memory,
+        TraceOptions::default(),
         produce(&cfg),
         |_r, reader| {
             let mut n = 0u64;
@@ -223,10 +239,15 @@ fn corrupt_wires_are_typed_errors_and_the_stream_survives() {
     // 64 data wires + 1 EOS per producer; a period-4 schedule strikes only
     // data wires (65 is odd), so EOS always survives this test.
     let per_producer = cfg.steps * cfg.blocks_per_rank_step();
-    let (report, counts) = run_workflow(
+    let (report, counts) = run_workflow_traced(
         &cfg,
-        NetworkOptions::unthrottled(8).with_fault(FaultPlan::every(FaultKind::CorruptWire, 4)),
+        NetworkOptions::unthrottled(8).with_chaos(every_sender_wire(
+            &cfg,
+            4,
+            ChaosFault::CorruptWire,
+        )),
         StorageOptions::Memory,
+        TraceOptions::default(),
         produce(&cfg),
         |_r, reader| {
             let mut n = 0u64;
@@ -277,10 +298,11 @@ fn corrupt_wires_are_typed_errors_and_the_stream_survives() {
 fn swallowed_eos_trips_the_watchdog_instead_of_hanging() {
     let mut cfg = cfg();
     cfg.tuning.eos_timeout = Some(Duration::from_millis(300));
-    let (report, counts) = run_workflow(
+    let (report, counts) = run_workflow_traced(
         &cfg,
-        NetworkOptions::unthrottled(8).with_fault(FaultPlan::every(FaultKind::DropEos, 1)),
+        NetworkOptions::unthrottled(8).with_chaos(every_sender_wire(&cfg, 1, ChaosFault::DropEos)),
         StorageOptions::Memory,
+        TraceOptions::default(),
         produce(&cfg),
         |_r, reader| {
             let mut n = 0u64;

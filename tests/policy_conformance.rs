@@ -38,8 +38,7 @@ use zipper_types::{
     PreserveMode, Rank, RecoveryPolicy, RoutingPolicy, SimTime, StepId, WorkflowConfig,
 };
 use zipper_workflow::{
-    run_workflow_chaos, run_workflow_recorded, NetworkOptions, StorageOptions, TraceOptions,
-    WorkflowPolicies,
+    run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions, WorkflowPolicies,
 };
 
 /// One conformance scenario, expressed substrate-independently.
@@ -139,9 +138,10 @@ impl Scenario {
     }
 
     fn net_options(&self) -> NetworkOptions {
-        match &self.backpressure {
-            Some(script) => NetworkOptions::default().with_backpressure(script.clone()),
-            None => NetworkOptions::default(),
+        NetworkOptions {
+            chaos: self.chaos.clone(),
+            backpressure: self.backpressure.clone(),
+            ..Default::default()
         }
     }
 
@@ -159,32 +159,22 @@ impl Scenario {
         let consume = |_: Rank, reader: &zipper_core::ZipperReader| {
             while reader.read().is_some() {}
         };
+        let (report, _): (_, Vec<()>) = run_workflow_traced(
+            &cfg,
+            self.net_options(),
+            StorageOptions::Memory,
+            TraceOptions::default().with_policy(),
+            produce,
+            consume,
+        );
         if self.chaos.is_empty() {
-            let (report, _, policies): (_, Vec<()>, WorkflowPolicies) = run_workflow_recorded(
-                &cfg,
-                self.net_options(),
-                StorageOptions::Memory,
-                TraceOptions::default().with_policy(),
-                produce,
-                consume,
-            );
             report.assert_complete();
-            canonize(&policies)
         } else {
-            let (report, _, policies): (_, Vec<()>, WorkflowPolicies) = run_workflow_chaos(
-                &cfg,
-                self.net_options(),
-                StorageOptions::Memory,
-                TraceOptions::default().with_policy(),
-                &self.chaos,
-                produce,
-                consume,
-            );
             // Injected faults surface as per-rank runtime errors by
             // design; the run itself must not lose an app rank.
             assert!(report.failures.is_empty(), "{:?}", report.failures);
-            canonize(&policies)
         }
+        canonize(&report.policies)
     }
 
     /// Run on the DES; return canonical traces by rank.

@@ -257,12 +257,14 @@ fn skeleton_matches_des_edge_profile() {
     }
 }
 
-/// The opt-in workflow gate refuses a provably-deadlocking plan without
-/// spawning a thread, and passes a clean plan through to a real run.
+/// The workflow gate: preflight refuses a provably-deadlocking plan
+/// without spawning a thread, and a clean plan it accepts runs end to end.
 #[test]
-fn run_workflow_checked_gates_on_preflight() {
+fn preflight_gates_the_threaded_run() {
     use zipper_types::{ByteSize, GlobalPos, PreserveMode, StepId, WorkflowConfig};
-    use zipper_workflow::{run_workflow_checked, NetworkOptions, StorageOptions, TraceOptions};
+    use zipper_workflow::{
+        preflight_workflow, run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions,
+    };
 
     let mut cfg = WorkflowConfig {
         producers: 2,
@@ -290,33 +292,28 @@ fn run_workflow_checked_gates_on_preflight() {
 
     // A dead-ordinal plan is refused before any thread spawns.
     let bad = ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 99, ChaosFault::DropWire);
-    let refused = run_workflow_checked(
-        &cfg,
-        NetworkOptions::default(),
-        StorageOptions::Memory,
-        TraceOptions::off(),
-        &bad,
-        produce,
-        consume,
+    let report = preflight_workflow(&cfg, &NetworkOptions::default().with_chaos(bad));
+    assert!(
+        report.is_rejected(),
+        "dead-ordinal plan must be refused: {}",
+        report.render()
     );
-    let report = refused.err().expect("dead-ordinal plan must be refused");
     assert!(report.has(ZvCode::DeadOrdinal), "{}", report.render());
 
-    // A clean (empty) plan runs end to end and returns the preflight
-    // report alongside the workflow results.
-    let ok = run_workflow_checked(
+    // A clean (empty) plan passes preflight and runs end to end.
+    let net = NetworkOptions::default();
+    let preflight = preflight_workflow(&cfg, &net);
+    assert!(!preflight.is_rejected(), "{}", preflight.render());
+    let (workflow, results) = run_workflow_traced(
         &cfg,
-        NetworkOptions::default(),
+        net,
         StorageOptions::Memory,
         TraceOptions::off(),
-        &ChaosPlan::new(),
         produce,
         consume,
     );
-    let (workflow, results, _policies, preflight) = ok.expect("clean plan must run");
     workflow.assert_complete();
     assert_eq!(results.len(), 2);
-    assert!(!preflight.is_rejected());
 }
 
 /// splitmix64 — the seeded conformance generators' mixer.

@@ -11,7 +11,9 @@ use zipper_types::block::deterministic_payload;
 use zipper_types::{
     Block, BlockId, ByteSize, GlobalPos, Rank, RuntimeError, StepId, WorkflowConfig,
 };
-use zipper_workflow::{run_workflow, NetworkOptions, StorageOptions, WorkflowReport};
+use zipper_workflow::{
+    run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions, WorkflowReport,
+};
 
 /// Run `f` on its own thread and panic if it does not finish within
 /// `deadline` — the "never hang" half of every assertion in this file.
@@ -85,10 +87,11 @@ fn producer_app_panic_mid_step_is_reported_not_fatal() {
     let total = cfg.total_blocks();
     let (report, counts): (WorkflowReport, Vec<u64>) =
         with_deadline(Duration::from_secs(60), "producer-panic", move || {
-            run_workflow(
+            run_workflow_traced(
                 &cfg,
                 NetworkOptions::default(),
                 StorageOptions::Memory,
+                TraceOptions::default(),
                 |rank, writer| {
                     let steps = 6u64;
                     let slab = 64 << 10;
@@ -145,12 +148,13 @@ fn consumer_dropped_mid_stream_is_reported_and_producers_finish() {
     let total = cfg.total_blocks();
     let (report, results): (WorkflowReport, Vec<u64>) =
         with_deadline(Duration::from_secs(60), "consumer-death", move || {
-            run_workflow(
+            run_workflow_traced(
                 &cfg,
                 // Tiny inbox: without the receiver's discard path, the
                 // producers would wedge on the dead consumer's backpressure.
                 NetworkOptions::unthrottled(2),
                 StorageOptions::Memory,
+                TraceOptions::default(),
                 |rank, writer| {
                     for s in 0..6u64 {
                         writer.write_slab(
@@ -207,10 +211,11 @@ fn combined_producer_and_consumer_death_always_terminates() {
         let cfg = cfg();
         let (report, _results): (WorkflowReport, Vec<u64>) =
             with_deadline(Duration::from_secs(60), "combined-death", move || {
-                run_workflow(
+                run_workflow_traced(
                     &cfg,
                     NetworkOptions::unthrottled(2),
                     StorageOptions::Memory,
+                    TraceOptions::default(),
                     move |rank, writer| {
                         for s in 0..6u64 {
                             if rank == Rank(1) && s == 3 {

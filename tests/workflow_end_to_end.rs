@@ -9,7 +9,7 @@ use zipper_types::block::deterministic_payload;
 use zipper_types::{
     Block, BlockId, ByteSize, GlobalPos, PreserveMode, Rank, StepId, WorkflowConfig,
 };
-use zipper_workflow::{run_workflow, NetworkOptions, StorageOptions};
+use zipper_workflow::{run_workflow_traced, NetworkOptions, StorageOptions, TraceOptions};
 
 fn base_cfg() -> WorkflowConfig {
     let mut cfg = WorkflowConfig {
@@ -52,10 +52,11 @@ fn verifiable_producer(
 #[test]
 fn every_block_arrives_exactly_once_with_intact_payload() {
     let cfg = base_cfg();
-    let (report, ids) = run_workflow(
+    let (report, ids) = run_workflow_traced(
         &cfg,
         NetworkOptions::default(),
         StorageOptions::Memory,
+        TraceOptions::default(),
         verifiable_producer(&cfg),
         |_rank, reader| {
             let mut seen = Vec::new();
@@ -84,10 +85,11 @@ fn dual_channel_delivery_is_complete_under_throttled_network() {
     let mut cfg = base_cfg();
     cfg.tuning.producer_slots = 4;
     cfg.tuning.high_water_mark = 2;
-    let (report, ids) = run_workflow(
+    let (report, ids) = run_workflow_traced(
         &cfg,
         NetworkOptions::throttled(1, 1.5e6, Duration::from_micros(100)),
         StorageOptions::Memory,
+        TraceOptions::default(),
         verifiable_producer(&cfg),
         |_rank, reader| {
             let mut seen = Vec::new();
@@ -111,10 +113,11 @@ fn dual_channel_delivery_is_complete_under_throttled_network() {
 fn preserve_mode_persists_every_block_once() {
     let mut cfg = base_cfg();
     cfg.tuning.preserve = PreserveMode::Preserve;
-    let (report, _) = run_workflow(
+    let (report, _) = run_workflow_traced(
         &cfg,
         NetworkOptions::throttled(2, 8e6, Duration::ZERO),
         StorageOptions::Memory,
+        TraceOptions::default(),
         verifiable_producer(&cfg),
         |_r, reader| while reader.read().is_some() {},
     );
@@ -187,10 +190,11 @@ fn round_robin_routing_balances_consumers() {
     // Message path only: the writer thread rotates independently, which
     // would make the exact 50/50 split racy.
     cfg.tuning.concurrent_transfer = false;
-    let (report, counts) = run_workflow(
+    let (report, counts) = run_workflow_traced(
         &cfg,
         NetworkOptions::default(),
         StorageOptions::Memory,
+        TraceOptions::default(),
         verifiable_producer(&cfg),
         |_r, reader| {
             let mut n = 0u64;
@@ -215,10 +219,11 @@ fn stall_time_is_reported_when_consumer_is_slow() {
     cfg.tuning.producer_slots = 2;
     cfg.tuning.high_water_mark = 1;
     cfg.tuning.concurrent_transfer = false;
-    let (report, _) = run_workflow(
+    let (report, _) = run_workflow_traced(
         &cfg,
         NetworkOptions::unthrottled(1),
         StorageOptions::Memory,
+        TraceOptions::default(),
         verifiable_producer(&cfg),
         |_r, reader| {
             while reader.read().is_some() {
@@ -243,10 +248,11 @@ fn many_rank_stress_run_stays_consistent() {
     cfg.steps = 10;
     cfg.bytes_per_rank_step = ByteSize::kib(64);
     cfg.tuning.block_size = ByteSize::kib(4);
-    let (report, counts) = run_workflow(
+    let (report, counts) = run_workflow_traced(
         &cfg,
         NetworkOptions::throttled(4, 20e6, Duration::ZERO),
         StorageOptions::ThrottledMemory(50e6, Duration::from_micros(50)),
+        TraceOptions::default(),
         verifiable_producer(&cfg),
         |_r, reader| {
             let mut n = 0u64;
@@ -274,12 +280,13 @@ fn shutdown_race_loses_no_stolen_blocks() {
         cfg.steps = 4;
         cfg.tuning.producer_slots = 4;
         cfg.tuning.high_water_mark = 1;
-        let (report, counts) = run_workflow(
+        let (report, counts) = run_workflow_traced(
             &cfg,
             // Slow channel so stealing engages right up to the end...
             NetworkOptions::throttled(1, 3e6, Duration::ZERO),
             // ...and slow storage ops so the writer is busy at close time.
             StorageOptions::ThrottledMemory(50e6, Duration::from_millis(3)),
+            TraceOptions::default(),
             verifiable_producer(&cfg),
             |_r, reader| {
                 let mut n = 0u64;
