@@ -288,6 +288,21 @@ fn conformance_plans() -> Vec<(String, PreflightInput)> {
     seeded_gate.backpressure = Some(script);
     plans.push((format!("seeded gate (seed {gate_seed})"), seeded_gate));
 
+    // A credit window already met when reached: wire 3 asks for the 2
+    // steals wire 2's window already earned; wire 5 needs a 3rd.
+    let mut met_early = scenario_input();
+    met_early.concurrent_transfer = true;
+    met_early.routing = RoutingPolicy::RoundRobin;
+    let mut script = BackpressureScript::new();
+    for p in 0..2 {
+        script = script
+            .with(Rank(p as u32), 2, GateRule::OpenAfterSteals(2))
+            .with(Rank(p as u32), 3, GateRule::OpenAfterSteals(2))
+            .with(Rank(p as u32), 5, GateRule::OpenAfterSteals(3));
+    }
+    met_early.backpressure = Some(script);
+    plans.push(("met-early gate window".into(), met_early));
+
     // Gate + chaos composed on the same wire (each producer's wire 2
     // held until 3 steals; p0's released wire dropped, p1's delayed).
     let mut composed = scenario_input();

@@ -20,8 +20,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use zipper_policy::{Channel, ProducerPolicy, RetireReason};
 use zipper_trace::{
-    block_token, eos_token, CausalSink, EdgeKind, GaugeId, HistogramId, LaneRecorder, MetricShard,
-    SpanKind, TraceSink,
+    block_token, eos_token, CausalSink, CounterId, EdgeKind, GaugeId, HistogramId, LaneRecorder,
+    MetricShard, SpanKind, Telemetry, TraceSink,
 };
 use zipper_types::{
     panic_detail, Block, BlockId, Error, GlobalPos, MixedMessage, Rank, RuntimeError, SenderGate,
@@ -79,14 +79,21 @@ pub(crate) fn causal_token(id: BlockId) -> u64 {
 /// must not announce EOS) until the writer has finished its in-flight
 /// store — otherwise the last stolen block's ID would never reach the
 /// consumer.
+///
+/// Signalling it is the writer's retirement (drained, dead, or never
+/// spawned), so it also fails the rank's gate open: no steal can follow.
 #[derive(Default)]
 struct WriterDone {
     done: Mutex<bool>,
     cv: parking_lot::Condvar,
+    gate: Option<Arc<SenderGate>>,
 }
 
 impl WriterDone {
     fn signal(&self) {
+        if let Some(g) = &self.gate {
+            g.cancel();
+        }
         *self.done.lock() = true;
         self.cv.notify_all();
     }
@@ -291,14 +298,13 @@ impl Producer {
     /// announces EOS. Requires `tuning.concurrent_transfer` — without a
     /// writer thread a detached producer would ship nothing.
     ///
-    /// `gate` is an optional [`SenderGate`] — the producer-side half of a
-    /// [`zipper_types::BackpressureScript`]. The gate itself is driven by a
-    /// `GatedSender` transport wrapper *outside* this module (it counts the
-    /// rank's data wires and stalls at scripted ordinals); this spawn
-    /// variant wires up the writer side: while a steal-credit window is
-    /// armed the writer steals every buffered block (bypassing the
-    /// high-water mark), reports each steal to the gate, and fail-opens the
-    /// gate when it retires so an unmet window can never wedge the sender.
+    /// `gate` is an optional [`SenderGate`] driving one rank's
+    /// [`zipper_types::BackpressureScript`] windows. The sender passes it
+    /// just before each data wire's transport send (a retried send passes
+    /// it once), stalling at scripted ordinals. While a steal-credit window
+    /// is armed the writer steals every buffered block (bypassing the
+    /// high-water mark) and reports each steal. Either thread cancels the
+    /// gate when it retires, so an unmet window can never wedge the other.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_with_policy_gated(
         rank: Rank,
@@ -327,7 +333,10 @@ impl Producer {
         );
         let metrics = Arc::new(Mutex::new(ProducerMetrics::default()));
         let pending: PendingIds = Arc::new(Mutex::new(vec![Vec::new(); consumers]));
-        let writer_done = Arc::new(WriterDone::default());
+        let writer_done = Arc::new(WriterDone {
+            gate: gate.clone(),
+            ..WriterDone::default()
+        });
 
         if let Some(g) = &gate {
             // Arming a steal window must wake a writer already parked on an
@@ -360,9 +369,6 @@ impl Producer {
                     // Degrade to message-passing-only instead of aborting:
                     // the sender must not wait for a writer that never ran.
                     writer_done.signal();
-                    if let Some(g) = &gate {
-                        g.retire_writer();
-                    }
                     policy.lock().writer_retired(RetireReason::Fault);
                     metrics.lock().errors.push(RuntimeError::WriterRetired {
                         rank,
@@ -372,12 +378,10 @@ impl Producer {
                 }
             }
         } else {
+            // No writer exists to satisfy steal-credit windows: signalling
+            // its retirement fails the gate open, so scripted stalls
+            // degrade to no-ops.
             writer_done.signal();
-            // No writer exists to satisfy steal-credit windows: fail the
-            // gate open so scripted stalls degrade to no-ops.
-            if let Some(g) = &gate {
-                g.retire_writer();
-            }
             None
         };
 
@@ -387,6 +391,7 @@ impl Producer {
             let spolicy = policy.clone();
             let sgate = gate.clone();
             let rec = sink.recorder(sender_lane(rank));
+            let stelemetry = sink.telemetry().clone();
             let scausal = sink.causal().clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("zipper-sender-{rank}"))
@@ -401,6 +406,7 @@ impl Producer {
                         writer_done,
                         sgate,
                         rec,
+                        stelemetry,
                         scausal,
                         detach_sender,
                     )
@@ -416,7 +422,7 @@ impl Producer {
                     // them to release a writer parked between windows.
                     queue.close();
                     if let Some(g) = &gate {
-                        g.close_windows();
+                        g.cancel();
                     }
                     metrics
                         .lock()
@@ -535,6 +541,7 @@ fn sender_loop(
     writer_done: Arc<WriterDone>,
     gate: Option<Arc<SenderGate>>,
     mut rec: LaneRecorder,
+    telemetry: Telemetry,
     causal: CausalSink,
     detached: bool,
 ) {
@@ -557,7 +564,13 @@ fn sender_loop(
                 data: Some(block),
                 on_disk,
             };
-            match rec.time(SpanKind::Send, || mesh.send(dest, Wire::Msg(msg))) {
+            let sent = rec.time(SpanKind::Send, || {
+                if let Some(g) = &gate {
+                    pass_gate(g, &telemetry, &causal, &slane);
+                }
+                mesh.send(dest, Wire::Msg(msg))
+            });
+            match sent {
                 Ok(()) => {
                     // The edge's source is the moment the wire cleared this
                     // sender (post gate hold / throttle); the receiver's
@@ -579,7 +592,7 @@ fn sender_loop(
     // wires): windows at higher ordinals can never arm, so cancel them to
     // release a writer parked between windows.
     if let Some(g) = &gate {
-        g.close_windows();
+        g.cancel();
     }
 
     // End of the *message* channel: the buffer is drained, so no data wire
@@ -648,6 +661,23 @@ fn sender_loop(
     }
 }
 
+/// Hold one data wire at its scripted gate window. Held time is charged
+/// to `net.backpressure_ns` — the counter a full consumer inbox charges,
+/// because a scripted gate *is* modelled backpressure — and recorded as a
+/// [`EdgeKind::Gate`] self-edge on the sender lane (gate open → sender
+/// resume), tokened by the wire's ordinal.
+fn pass_gate(gate: &SenderGate, telemetry: &Telemetry, causal: &CausalSink, lane: &str) {
+    let held = gate.pass_data_wire();
+    if held.is_zero() {
+        return;
+    }
+    telemetry.add_time(CounterId::NetBackpressureNs, held);
+    telemetry.observe(HistogramId::StallNs, held.as_nanos() as u64);
+    let t1 = causal.now();
+    let t0 = t1.saturating_sub(SimTime::from_nanos(held.as_nanos() as u64));
+    causal.edge_at(EdgeKind::Gate, lane, t0, lane, t1, gate.wires());
+}
+
 /// Writer thread (Fig. 8 + Algorithm 1): steal blocks once the policy
 /// kernel's high-water-mark condition fires, store them on the PFS, and
 /// announce their IDs for the sender to piggyback. The steal condition and
@@ -698,9 +728,6 @@ fn writer_loop(
             }
             // The normal end of stream.
             policy.lock().writer_retired(RetireReason::Drained);
-            if let Some(g) = &gate {
-                g.retire_writer();
-            }
             break;
         };
         causal.queue_pop(&qlabel, &wlane);
@@ -745,12 +772,8 @@ fn writer_loop(
                 }
                 continue;
             }
-            // Dying without a comeback: unmet steal-credit windows can
-            // never be satisfied — fail the gate open so the sender is
-            // released instead of wedged.
-            if let Some(g) = &gate {
-                g.retire_writer();
-            }
+            // Dying without a comeback: the caller's retirement signal
+            // fails the gate open, releasing a sender held on a window.
             return;
         }
         // Steal announce: the block became fetchable the moment the put
@@ -1006,6 +1029,43 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "consumer {q} got a foreign deal");
         }
+    }
+
+    #[test]
+    fn only_data_wires_advance_the_ordinal() {
+        use zipper_types::{BackpressureScript, GateRule};
+        // A credit window on the last data wire (5 of 6 blocks) makes the
+        // writer steal block 5 after block 4's message was built, so its
+        // ID ships in a disk-only flush after the data loop, followed by
+        // the Net and Disk EOS marks. None of those may count as a wire.
+        let script = BackpressureScript::new().with(Rank(0), 5, GateRule::OpenAfterSteals(1));
+        let gate = Arc::new(SenderGate::new(script.windows_for(Rank(0))));
+        let mesh = ChannelMesh::new(1, 64);
+        let mut t = tuning(true);
+        t.producer_slots = 16;
+        t.high_water_mark = 15; // no unscripted steals
+        let policy = Arc::new(Mutex::new(ProducerPolicy::from_tuning(Rank(0), 1, &t)));
+        let mut prod = Producer::spawn_with_policy_gated(
+            Rank(0),
+            t,
+            mesh.sender(),
+            Arc::new(MemFs::new()),
+            TraceSink::default(),
+            policy,
+            false,
+            Some(gate.clone()),
+        );
+        let writer = prod.writer(4096);
+        let collector = collect_rank0(&mesh, 2);
+        writer.write_slab(StepId(0), GlobalPos::default(), vec![0u8; 6 * 4096].into());
+        writer.finish();
+        let metrics = prod.join();
+        let (net, disk) = collector.join().unwrap();
+        assert!(metrics.errors.is_empty(), "{:?}", metrics.errors);
+        assert_eq!(net.len(), 5);
+        assert_eq!(disk, vec![BlockId::new(Rank(0), StepId(0), 5)]);
+        assert_eq!(gate.steals(), 1);
+        assert_eq!(gate.wires(), 5, "flushes and EOS marks are not data wires");
     }
 
     #[test]

@@ -54,8 +54,8 @@ use std::fmt;
 use crate::eos::Channel;
 use crate::producer::ProducerPolicy;
 use zipper_types::{
-    BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, GateRule, Rank,
-    RecoveryPolicy, RoutingPolicy, StepId, WorkflowConfig,
+    BackpressureScript, BlockId, ChaosEntity, ChaosFault, ChaosPlan, ChaosScope, GateRule,
+    GateStep, GateWalk, Rank, RecoveryPolicy, RoutingPolicy, ScriptError, StepId, WorkflowConfig,
 };
 
 /// Widest step index the wire tag format can carry (32-bit step field;
@@ -446,32 +446,21 @@ impl PreflightInput {
             .unwrap_or(&[])
     }
 
-    /// Whether `rank`'s sender is structurally detached.
-    fn detached(&self, rank: usize) -> bool {
-        self.chaos_ref().iter().any(|ev| {
-            ev.fault == ChaosFault::DetachSender
-                && ev.entity == ChaosEntity::Sender(Rank(rank as u32))
-        })
+    /// `entity`'s view of the chaos plan: the same scope both runtimes
+    /// interpret.
+    fn scope(&self, entity: ChaosEntity) -> ChaosScope {
+        match &self.chaos {
+            Some(plan) => plan.scope(entity),
+            None => ChaosPlan::new().scope(entity),
+        }
     }
 
-    /// Exact-walk regime for `rank` (see the module docs).
-    fn pinned(&self, rank: usize) -> bool {
+    /// Exact-walk regime for the rank whose sender scope is `sender` (see
+    /// the module docs).
+    fn pinned(&self, sender: &ChaosScope) -> bool {
         !self.concurrent_transfer
-            || self.detached(rank)
+            || sender.detached()
             || self.high_water_mark as u64 >= self.blocks_per_rank()
-    }
-
-    /// The scripted faults for one entity, sorted by ordinal — the same
-    /// view `ChaosPlan::scope` gives the runtimes, but borrowed.
-    fn faults_for(&self, entity: ChaosEntity) -> Vec<(u64, ChaosFault)> {
-        let mut v: Vec<(u64, ChaosFault)> = self
-            .chaos_ref()
-            .iter()
-            .filter(|ev| ev.entity == entity && ev.fault != ChaosFault::DetachSender)
-            .map(|ev| (ev.ordinal, ev.fault))
-            .collect();
-        v.sort_by_key(|&(o, _)| o);
-        v
     }
 }
 
@@ -539,33 +528,16 @@ impl PreflightReport {
     }
 }
 
-/// Outcome of one rank's exact symbolic walk.
-#[derive(Clone, Debug, Default)]
-struct RankWalk {
-    /// Chaos-counted sender operations (attempted data wires in route
-    /// order, then Net EOS marks).
-    sender_ops: u64,
-    /// Chaos-counted writer operations (PFS put attempts, including
-    /// failed ones).
-    writer_ops: u64,
-    /// Per consumer: DATA blocks delivered over the message channel
-    /// (corrupted and dropped frames excluded).
-    net_delivered: Vec<u64>,
-    /// Per consumer: disk-id notifications delivered (one PFS fetch
-    /// each).
-    disk_delivered: Vec<u64>,
-    /// Per consumer: EOS marks delivered from this rank (both channels).
-    eos_delivered: Vec<u64>,
-    /// Successful writer puts.
-    writer_puts: u64,
-    /// Writer revivals consumed.
-    revivals: u32,
-    /// The writer died past its revival budget.
-    writer_died: bool,
-    /// Blocks left undrained when a detached rank's writer died.
-    stranded: u64,
-    /// Final attempted-wire count (for inert-window detection).
-    wires: u64,
+/// Deliveries per consumer, summed over every pinned producer's walk.
+#[derive(Clone, Debug)]
+struct Deliveries {
+    /// DATA blocks delivered over the message channel (corrupted and
+    /// dropped frames excluded).
+    net: Vec<u64>,
+    /// Disk-id notifications delivered (one PFS fetch each).
+    disk: Vec<u64>,
+    /// EOS marks delivered (both channels).
+    eos: Vec<u64>,
 }
 
 /// The verifier entry point.
@@ -590,31 +562,32 @@ impl Preflight {
             };
         }
 
-        let all_pinned = (0..input.producers).all(|r| input.pinned(r));
-        let mut walks: Vec<RankWalk> = Vec::with_capacity(input.producers);
+        let mut all_pinned = true;
+        let q = vec![0; input.consumers];
+        let mut delivered = Deliveries {
+            net: q.clone(),
+            disk: q.clone(),
+            eos: q,
+        };
         for rank in 0..input.producers {
-            if input.pinned(rank) {
-                walks.push(walk_rank(input, rank, &mut d));
+            let sender = input.scope(ChaosEntity::Sender(Rank(rank as u32)));
+            if input.pinned(&sender) {
+                walk_rank(input, rank, &sender, &mut delivered, &mut d);
             } else {
-                bound_rank(input, rank, &mut d);
-                walks.push(RankWalk {
-                    net_delivered: vec![0; input.consumers],
-                    disk_delivered: vec![0; input.consumers],
-                    eos_delivered: vec![0; input.consumers],
-                    ..RankWalk::default()
-                });
+                all_pinned = false;
+                bound_rank(input, rank, &sender, &mut d);
             }
         }
 
         if all_pinned {
-            check_consumers(input, &walks, &mut d);
+            check_consumers(input, &delivered, &mut d);
         } else {
             bound_consumers(input, &mut d);
         }
         check_recovery_lints(input, &mut d);
 
         let skeleton = if all_pinned {
-            let s = build_skeleton(input, &walks);
+            let s = build_skeleton(&delivered);
             if !s.is_acyclic() {
                 d.push(Diagnostic::plain(
                     ZvCode::SkeletonCycle,
@@ -709,11 +682,12 @@ fn check_config(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
 }
 
 /// ZV010–ZV012, ZV051: backpressure-script structure, before any walk.
+/// ZV010/ZV011 are [`BackpressureScript::validate`]'s verdict — the one
+/// both runtimes apply — against the rank's block count.
 fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     let Some(script) = &input.backpressure else {
         return;
     };
-    let n = input.blocks_per_rank();
     for &(rank, ref w) in &script.gates {
         if rank.idx() >= input.producers {
             d.push(Diagnostic::plain(
@@ -725,71 +699,24 @@ fn check_script_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
-        if w.wire == 0 {
+        if matches!(w.rule, GateRule::Hold(dur) if dur.is_zero()) {
             d.push(Diagnostic::plain(
-                ZvCode::MalformedScript,
+                ZvCode::ZeroHold,
                 format!(
-                    "gate wire ordinals are 1-based; rank {} scripts wire 0",
-                    rank.idx()
+                    "rank {} wire {} holds for zero time (no-op)",
+                    rank.idx(),
+                    w.wire
                 ),
             ));
         }
-        match w.rule {
-            GateRule::OpenAfterSteals(target) => {
-                if w.wire + target > n {
-                    d.push(Diagnostic::plain(
-                        ZvCode::UnsatisfiableWindow,
-                        format!(
-                            "rank {} wire {} needs {} cumulative steals but only {} blocks \
-                             exist per rank: the window can never open",
-                            rank.idx(),
-                            w.wire,
-                            target,
-                            n
-                        ),
-                    ));
-                }
-            }
-            GateRule::Hold(dur) => {
-                if dur.is_zero() {
-                    d.push(Diagnostic::plain(
-                        ZvCode::ZeroHold,
-                        format!(
-                            "rank {} wire {} holds for zero time (no-op)",
-                            rank.idx(),
-                            w.wire
-                        ),
-                    ));
-                }
-            }
-        }
     }
-    // Per-rank ordering and target monotonicity, the runtimes' contract.
-    for rank in 0..input.producers {
-        let windows = script.windows_for(Rank(rank as u32));
-        let mut last_wire = 0u64;
-        let mut last_target = 0u64;
-        for w in &windows {
-            if w.wire == last_wire && last_wire != 0 {
-                d.push(Diagnostic::plain(
-                    ZvCode::MalformedScript,
-                    format!("rank {rank} scripts wire {} twice", w.wire),
-                ));
-            }
-            last_wire = w.wire;
-            if let GateRule::OpenAfterSteals(t) = w.rule {
-                if t <= last_target {
-                    d.push(Diagnostic::plain(
-                        ZvCode::MalformedScript,
-                        format!(
-                            "rank {rank} wire {}: cumulative steal target {} does not \
-                             exceed the previous window's {}",
-                            w.wire, t, last_target
-                        ),
-                    ));
-                }
-                last_target = t;
-            }
+    match script.validate(Some(input.blocks_per_rank())) {
+        Ok(()) => {}
+        Err(ScriptError::Malformed(why)) => {
+            d.push(Diagnostic::plain(ZvCode::MalformedScript, why));
+        }
+        Err(ScriptError::Unsatisfiable(why)) => {
+            d.push(Diagnostic::plain(ZvCode::UnsatisfiableWindow, why));
         }
     }
 }
@@ -909,102 +836,111 @@ fn check_chaos_shape(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The first fault scheduled at `ordinal`, mirroring `ChaosScope::next`.
-fn fault_at(faults: &[(u64, ChaosFault)], ordinal: u64) -> Option<ChaosFault> {
-    faults.iter().find(|&&(o, _)| o == ordinal).map(|&(_, f)| f)
+/// Count one operation of `scope` and return the fault striking it. A
+/// scope without faults is never ticked, so read `ops()` only from one
+/// that has faults.
+fn strike(scope: &ChaosScope) -> Option<ChaosFault> {
+    if scope.is_empty() {
+        None
+    } else {
+        scope.next()
+    }
+}
+
+/// One pinned rank's symbolic state: the policy kernel (router rotation
+/// and revival budget), the gate walk, the writer's chaos scope, and the
+/// producer buffer.
+struct RankWalk {
+    policy: ProducerPolicy,
+    gate: GateWalk,
+    writer: ChaosScope,
+    /// Blocks not yet taken, in production order.
+    pending: VecDeque<BlockId>,
+}
+
+impl RankWalk {
+    /// One writer put of `block`, through any revivals. True when the
+    /// block was stored (the steal is credited to the gate); false when
+    /// the writer died: the block returns to the front of the buffer and
+    /// the gate fails open.
+    fn writer_put(&mut self, block: BlockId, delivered: &mut Deliveries) -> bool {
+        loop {
+            // A faulted put re-takes and re-routes the block (the double
+            // route is intentional on both substrates).
+            let dest = self.policy.route_disk(block);
+            if strike(&self.writer) == Some(ChaosFault::PfsWriteFail) {
+                if self.policy.try_revive_writer() {
+                    continue;
+                }
+                self.gate.cancel();
+                self.pending.push_front(block);
+                return false;
+            }
+            // Disk-id notifications are plain sends outside the sender's
+            // dead-destination bookkeeping: always delivered.
+            delivered.disk[dest.idx()] += 1;
+            self.gate.note_steal();
+            return true;
+        }
+    }
 }
 
 /// Symbolically execute one pinned rank: the sender/writer take order,
-/// the shared router rotation, the gate windows, and the chaos scopes —
-/// exactly the decision sequence both substrates would produce.
-fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> RankWalk {
-    let q = input.consumers;
+/// the shared router rotation, the gate walk, and the chaos scopes —
+/// exactly the decision sequence both substrates would produce. Adds the
+/// rank's deliveries to `delivered`.
+fn walk_rank(
+    input: &PreflightInput,
+    rank: usize,
+    sender: &ChaosScope,
+    delivered: &mut Deliveries,
+    d: &mut Vec<Diagnostic>,
+) {
     let n = input.blocks_per_rank();
-    let mut policy = ProducerPolicy::new(
-        Rank(rank as u32),
-        q,
-        input.routing,
-        input.high_water_mark,
-        input.concurrent_transfer,
-    );
-    let sender_entity = ChaosEntity::Sender(Rank(rank as u32));
-    let writer_entity = ChaosEntity::Writer(Rank(rank as u32));
-    let sender_faults = input.faults_for(sender_entity);
-    let writer_faults = input.faults_for(writer_entity);
-    let windows = input
-        .backpressure
-        .as_ref()
-        .map(|s| s.windows_for(Rank(rank as u32)))
-        .unwrap_or_default();
-    let detached = input.detached(rank);
+    let r = Rank(rank as u32);
+    let sender_entity = ChaosEntity::Sender(r);
+    let writer_entity = ChaosEntity::Writer(r);
+    let detached = sender.detached();
     let has_writer = input.concurrent_transfer;
-
     let mut w = RankWalk {
-        net_delivered: vec![0; q],
-        disk_delivered: vec![0; q],
-        eos_delivered: vec![0; q],
-        ..RankWalk::default()
+        policy: ProducerPolicy::new(
+            r,
+            input.consumers,
+            input.routing,
+            input.high_water_mark,
+            input.concurrent_transfer,
+        )
+        .with_recovery(input.recovery),
+        gate: GateWalk::new(
+            input
+                .backpressure
+                .as_ref()
+                .map(|s| s.windows_for(r))
+                .unwrap_or_default(),
+        ),
+        writer: input.scope(writer_entity),
+        // Blocks in production order: steps outer, per-step index inner.
+        pending: (0..input.steps)
+            .flat_map(|s| {
+                (0..input.blocks_per_rank_step).map(move |i| BlockId::new(r, StepId(s), i as u32))
+            })
+            .collect(),
     };
-
-    // Blocks in production order: steps outer, per-step index inner.
-    let mut pending: VecDeque<BlockId> = (0..input.steps)
-        .flat_map(|s| {
-            (0..input.blocks_per_rank_step)
-                .map(move |i| BlockId::new(Rank(rank as u32), StepId(s), i as u32))
-        })
-        .collect();
-
-    let mut dead = vec![false; q];
-    let mut writer_alive = has_writer;
-    let mut steals_cum = 0u64;
-    let mut widx = 0usize;
-    let max_revivals = input.recovery.max_writer_revivals;
-
-    // One writer put attempt for `block`. Returns true when the block was
-    // written (steal credited), false when the writer died (block goes
-    // back to the front of the producer buffer).
-    let writer_put = |block: BlockId,
-                      policy: &mut ProducerPolicy,
-                      w: &mut RankWalk,
-                      writer_alive: &mut bool,
-                      steals_cum: &mut u64,
-                      pending: &mut VecDeque<BlockId>|
-     -> bool {
-        loop {
-            let dest = policy.route_disk(block);
-            w.writer_ops += 1;
-            if fault_at(&writer_faults, w.writer_ops) == Some(ChaosFault::PfsWriteFail) {
-                // The block returns to the FRONT of the buffer; a revival
-                // re-takes and re-routes it (the double route is
-                // intentional on both substrates).
-                if w.revivals < max_revivals {
-                    w.revivals += 1;
-                    continue;
-                }
-                w.writer_died = true;
-                *writer_alive = false;
-                pending.push_front(block);
-                return false;
-            }
-            w.writer_puts += 1;
-            // Disk-id notifications are plain sends outside the sender's
-            // dead-destination bookkeeping: always delivered.
-            w.disk_delivered[dest.idx()] += 1;
-            *steals_cum += 1;
-            return true;
-        }
-    };
+    let mut dead = vec![false; input.consumers];
 
     if detached {
         // Every block drains through the writer in production order. A
         // scripted credit window can never arm (the sender passes no data
         // wires); whether that wedges the run depends on whether the
         // producer can finish filling the buffer (see ZV011/ZV013 below).
-        let credit_windows: Vec<_> = windows
+        let credit_wires: Vec<u64> = w
+            .gate
+            .unreached()
             .iter()
-            .filter(|w| matches!(w.rule, GateRule::OpenAfterSteals(_)))
+            .filter(|win| matches!(win.rule, GateRule::OpenAfterSteals(_)))
+            .map(|win| win.wire)
             .collect();
-        if !credit_windows.is_empty() {
+        if !credit_wires.is_empty() {
             if n > input.producer_slots as u64 {
                 d.push(Diagnostic::plain(
                     ZvCode::UnsatisfiableWindow,
@@ -1016,35 +952,27 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
                     ),
                 ));
             } else {
-                for cw in &credit_windows {
+                for wire in credit_wires {
                     d.push(Diagnostic::plain(
                         ZvCode::InertWindow,
                         format!(
-                            "rank {rank} wire {}: detached sender never arms this window; \
-                             it fails open when the drained queue closes",
-                            cw.wire
+                            "rank {rank} wire {wire}: detached sender never arms this window; \
+                             it fails open when the drained queue closes"
                         ),
                     ));
                 }
             }
         }
-        while let Some(b) = pending.pop_front() {
-            if !writer_put(
-                b,
-                &mut policy,
-                &mut w,
-                &mut writer_alive,
-                &mut steals_cum,
-                &mut pending,
-            ) {
-                w.stranded = pending.len() as u64;
+        while let Some(b) = w.pending.pop_front() {
+            if !w.writer_put(b, delivered) {
                 d.push(Diagnostic::plain(
                     ZvCode::DetachedWriterDeath,
                     format!(
                         "rank {rank}: writer dies at put attempt {} past its revival \
                          budget with {} blocks undrained; the detached sender takes \
                          nothing, so the producer wedges forever",
-                        w.writer_ops, w.stranded
+                        w.writer.ops(),
+                        w.pending.len()
                     ),
                 ));
                 break;
@@ -1053,72 +981,78 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
     } else {
         // Sender take order, with the scripted windows' steal phases
         // interleaved exactly where the gate arms them.
-        'sender: while let Some(b) = pending.pop_front() {
-            let dest = policy.route_net(b);
+        while let Some(b) = w.pending.pop_front() {
+            let dest = w.policy.route_net(b);
             if dead[dest.idx()] {
                 // Skipped sends tick neither the gate nor the chaos scope.
                 continue;
             }
-            w.wires += 1;
-            if let Some(win) = windows.get(widx) {
-                if win.wire == w.wires {
-                    widx += 1;
-                    if let GateRule::OpenAfterSteals(target) = win.rule {
-                        if !has_writer {
-                            // Message-only: the gate was failed open at
-                            // spawn (retire_writer); the window is inert.
+            let (wire, step) = w.gate.pass_data_wire();
+            if let GateStep::AwaitSteals(target) = step {
+                if has_writer {
+                    // The writer drains the buffer until the window opens;
+                    // its death fails the gate open and the held wire
+                    // proceeds.
+                    while w.gate.steal_phase() {
+                        let Some(s) = w.pending.pop_front() else {
                             d.push(Diagnostic::plain(
-                                ZvCode::InertWindow,
+                                ZvCode::UnsatisfiableWindow,
                                 format!(
-                                    "rank {rank} wire {}: no writer exists in message-only \
-                                     mode; the credit window fails open at spawn",
-                                    win.wire
+                                    "rank {rank} wire {wire}: the armed window needs {target} \
+                                     cumulative steals but the buffer drains at {}",
+                                    w.gate.steals()
                                 ),
                             ));
-                        } else {
-                            while steals_cum < target && writer_alive {
-                                let Some(s) = pending.pop_front() else {
-                                    d.push(Diagnostic::plain(
-                                        ZvCode::UnsatisfiableWindow,
-                                        format!(
-                                            "rank {rank} wire {}: the armed window needs {} \
-                                             cumulative steals but the buffer drains at {}",
-                                            win.wire, target, steals_cum
-                                        ),
-                                    ));
-                                    break;
-                                };
-                                if !writer_put(
-                                    s,
-                                    &mut policy,
-                                    &mut w,
-                                    &mut writer_alive,
-                                    &mut steals_cum,
-                                    &mut pending,
-                                ) {
-                                    // Writer death fails the gate open
-                                    // (retire_ops → GATE_FLOOD); the held
-                                    // wire proceeds.
-                                    break;
-                                }
-                            }
+                            break;
+                        };
+                        if !w.writer_put(s, delivered) {
+                            d.push(Diagnostic::plain(
+                                ZvCode::WriterFailSoft,
+                                format!(
+                                    "rank {rank}: writer dies at put attempt {} past its \
+                                     revival budget; the rank degrades to message-only and \
+                                     the sender covers the disk channel's EOS (fail-soft by \
+                                     construction)",
+                                    w.writer.ops()
+                                ),
+                            ));
                         }
                     }
+                } else {
+                    // Message-only: the gate was failed open at spawn; the
+                    // window is inert.
+                    d.push(Diagnostic::plain(
+                        ZvCode::InertWindow,
+                        format!(
+                            "rank {rank} wire {wire}: no writer exists in message-only \
+                             mode; the credit window fails open at spawn"
+                        ),
+                    ));
                 }
             }
             // The held wire transmits: one chaos-counted send.
-            w.sender_ops += 1;
-            match fault_at(&sender_faults, w.sender_ops) {
-                Some(ChaosFault::FailSend) => {
-                    dead[dest.idx()] = true;
-                }
+            match strike(sender) {
+                Some(ChaosFault::FailSend) => dead[dest.idx()] = true,
                 Some(ChaosFault::DropWire) | Some(ChaosFault::CorruptWire) => {}
-                _ => {
-                    w.net_delivered[dest.idx()] += 1;
-                }
+                _ => delivered.net[dest.idx()] += 1,
             }
-            if pending.is_empty() {
-                break 'sender;
+        }
+
+        // Inert windows past the last attempted wire (chaos can shrink the
+        // wire count below a scripted ordinal): they fail open at close.
+        if has_writer {
+            for win in w.gate.unreached() {
+                if matches!(win.rule, GateRule::OpenAfterSteals(_)) {
+                    d.push(Diagnostic::plain(
+                        ZvCode::InertWindow,
+                        format!(
+                            "rank {rank} wire {}: only {} data wires are ever attempted; \
+                             the window never arms and fails open at close",
+                            win.wire,
+                            w.gate.wires()
+                        ),
+                    ));
+                }
             }
         }
     }
@@ -1127,106 +1061,79 @@ fn walk_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) -> Ra
     // schedule (hwm >= n keeps Algorithm 1 quiet; detached already
     // drained everything) and retires Drained.
 
-    // Inert windows past the last attempted wire (chaos can shrink the
-    // wire count below a scripted ordinal): they fail open at close.
-    if !detached {
-        for win in windows.iter().skip(widx) {
-            if matches!(win.rule, GateRule::OpenAfterSteals(_)) && has_writer {
-                d.push(Diagnostic::plain(
-                    ZvCode::InertWindow,
-                    format!(
-                        "rank {rank} wire {}: only {} data wires are ever attempted; the \
-                         window never arms and fails open at close",
-                        win.wire, w.wires
-                    ),
-                ));
-            }
-        }
-    }
-
     // Net EOS fan-out: chaos-counted sends in consumer-rank order,
-    // attempted (and delivered) even toward dead destinations.
-    for target in policy.announce_eos(Channel::Net) {
-        w.sender_ops += 1;
-        match fault_at(&sender_faults, w.sender_ops) {
-            Some(ChaosFault::DropEos)
-            | Some(ChaosFault::FailSend)
-            | Some(ChaosFault::DropWire)
-            | Some(ChaosFault::CorruptWire) => {}
-            _ => {
-                w.eos_delivered[target.idx()] += 1;
+    // attempted (and delivered) even toward dead destinations. Only a
+    // sender scope with faults is consulted per mark.
+    let marks = w.policy.announce_eos(Channel::Net);
+    if sender.is_empty() {
+        for target in &marks {
+            delivered.eos[target.idx()] += 1;
+        }
+    } else {
+        for target in &marks {
+            match sender.next() {
+                Some(ChaosFault::DropEos)
+                | Some(ChaosFault::FailSend)
+                | Some(ChaosFault::DropWire)
+                | Some(ChaosFault::CorruptWire) => {}
+                _ => delivered.eos[target.idx()] += 1,
             }
         }
     }
     // Disk EOS fan-out (concurrent only): plain uncounted sends, covered
     // by the sender when the writer died — always delivered.
-    for target in policy.announce_eos(Channel::Disk) {
-        w.eos_delivered[target.idx()] += 1;
+    for target in w.policy.announce_eos(Channel::Disk) {
+        delivered.eos[target.idx()] += 1;
     }
 
-    if w.writer_died && !detached {
-        d.push(Diagnostic::plain(
-            ZvCode::WriterFailSoft,
-            format!(
-                "rank {rank}: writer dies at put attempt {} past its revival budget; the \
-                 rank degrades to message-only and the sender covers the disk channel's \
-                 EOS (fail-soft by construction)",
-                w.writer_ops
-            ),
-        ));
-    }
-
-    // Sender-entity ordinal liveness against the exact op count.
-    for &(ord, fault) in &sender_faults {
-        if ord > w.sender_ops {
+    // Sender-entity ordinal liveness against the exact op count: the
+    // gate's data wires (the same stream the sender scope counts), then
+    // the Net EOS marks.
+    let wires = w.gate.wires();
+    let sender_ops = wires + marks.len() as u64;
+    for &(ord, _) in sender.faults() {
+        if ord > sender_ops {
             d.push(Diagnostic::at(
                 ZvCode::DeadOrdinal,
                 sender_entity,
                 ord,
                 format!(
-                    "sender performs exactly {} chaos-counted operations ({} data wires \
-                     + {} EOS marks); ordinal {ord} never fires",
-                    w.sender_ops,
-                    w.wires,
-                    w.sender_ops - w.wires
+                    "sender performs exactly {sender_ops} chaos-counted operations \
+                     ({wires} data wires + {} EOS marks); ordinal {ord} never fires",
+                    marks.len()
                 ),
             ));
-        } else if detached && fault != ChaosFault::DetachSender {
-            // Ordinals on a detached sender count EOS marks only; the
-            // event fires, but only ever on a mark.
         }
     }
     // Writer-entity ordinal liveness.
     if has_writer {
-        for &(ord, _) in &writer_faults {
-            if ord > w.writer_ops {
+        for &(ord, _) in w.writer.faults() {
+            if ord > w.writer.ops() {
                 d.push(Diagnostic::at(
                     ZvCode::DeadOrdinal,
                     writer_entity,
                     ord,
                     format!(
                         "writer performs exactly {} put attempts; ordinal {ord} never fires",
-                        w.writer_ops
+                        w.writer.ops()
                     ),
                 ));
             }
         }
     }
-
-    w
 }
 
 /// Bounds-only verdicts for an unpinned rank (concurrent transfer with a
 /// low high-water mark): reject what no schedule could reach, warn about
 /// what cannot be proved.
-fn bound_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) {
+fn bound_rank(input: &PreflightInput, rank: usize, sender: &ChaosScope, d: &mut Vec<Diagnostic>) {
     let n = input.blocks_per_rank();
     let q = input.consumers as u64;
     let sender_entity = ChaosEntity::Sender(Rank(rank as u32));
     let writer_entity = ChaosEntity::Writer(Rank(rank as u32));
     let sender_max = n + q; // every block by wire, plus the Net EOS marks
     let writer_max = n + input.recovery.max_writer_revivals as u64;
-    for &(ord, _) in &input.faults_for(sender_entity) {
+    for &(ord, _) in sender.faults() {
         if ord > sender_max {
             d.push(Diagnostic::at(
                 ZvCode::DeadOrdinal,
@@ -1251,7 +1158,7 @@ fn bound_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) {
             ));
         }
     }
-    for &(ord, _) in &input.faults_for(writer_entity) {
+    for &(ord, _) in input.scope(writer_entity).faults() {
         if ord > writer_max {
             d.push(Diagnostic::at(
                 ZvCode::DeadOrdinal,
@@ -1276,25 +1183,18 @@ fn bound_rank(input: &PreflightInput, rank: usize, d: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Consumer-side verdicts from the exact per-rank walks: EOS completion
-/// classification, analysis crash/restart arithmetic, output-path
-/// liveness.
-fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagnostic>) {
+/// Consumer-side verdicts from the exact per-rank walks' deliveries: EOS
+/// completion classification, analysis crash/restart arithmetic,
+/// output-path liveness.
+fn check_consumers(input: &PreflightInput, delivered: &Deliveries, d: &mut Vec<Diagnostic>) {
     let channels = if input.concurrent_transfer { 2u64 } else { 1 };
     let eos_expected = input.producers as u64 * channels;
     for qr in 0..input.consumers {
         let entity = ChaosEntity::Analysis(Rank(qr as u32));
         let output_entity = ChaosEntity::Output(Rank(qr as u32));
-        let delivered: u64 = walks
-            .iter()
-            .map(|w| w.net_delivered[qr] + w.disk_delivered[qr])
-            .sum();
-        let net_stored: u64 = if input.preserve {
-            walks.iter().map(|w| w.net_delivered[qr]).sum()
-        } else {
-            0
-        };
-        let eos_seen: u64 = walks.iter().map(|w| w.eos_delivered[qr]).sum();
+        let items = delivered.net[qr] + delivered.disk[qr];
+        let net_stored = if input.preserve { delivered.net[qr] } else { 0 };
+        let eos_seen = delivered.eos[qr];
 
         // EOS classification: every interpreter path either completes by
         // protocol, completes by watchdog, or hangs.
@@ -1322,13 +1222,14 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
         // per replayed backlog item, plus the final Closed read. A healed
         // crash requeues the current epoch's backlog at the front (the
         // crashing read's item is analysed first, then re-read).
-        let crash_faults = input.faults_for(entity);
+        let analysis = input.scope(entity);
+        let crash_faults = analysis.faults();
         let crashes: Vec<u64> = crash_faults
             .iter()
             .filter(|&&(_, f)| f == ChaosFault::CrashApp)
             .map(|&(o, _)| o)
             .collect();
-        let mut items_left = delivered;
+        let mut items_left = items;
         let mut replays_left = 0u64;
         let mut epoch_reads = 0u64;
         let mut restarts_used = 0u32;
@@ -1390,7 +1291,7 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
             }
             epoch_reads += 1;
         };
-        for &(ord, fault) in &crash_faults {
+        for &(ord, fault) in crash_faults {
             if fault != ChaosFault::CrashApp {
                 continue; // inert, flagged in the shape pass
             }
@@ -1401,7 +1302,7 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
                     ord,
                     format!(
                         "consumer {qr}'s application performs exactly {total_reads} reads \
-                         ({delivered} deliveries plus replays and the final Closed read); \
+                         ({items} deliveries plus replays and the final Closed read); \
                          ordinal {ord} never fires"
                     ),
                 ));
@@ -1410,7 +1311,7 @@ fn check_consumers(input: &PreflightInput, walks: &[RankWalk], d: &mut Vec<Diagn
 
         // Output-path ordinal liveness: one Preserve put attempt per
         // net-delivered block.
-        for &(ord, fault) in &input.faults_for(output_entity) {
+        for &(ord, fault) in input.scope(output_entity).faults() {
             if fault != ChaosFault::PfsWriteFail {
                 continue; // inert, flagged in the shape pass
             }
@@ -1465,7 +1366,8 @@ fn bound_consumers(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
     for qr in 0..input.consumers {
         let entity = ChaosEntity::Analysis(Rank(qr as u32));
         let crashes: Vec<u64> = input
-            .faults_for(entity)
+            .scope(entity)
+            .faults()
             .iter()
             .filter(|&&(_, f)| f == ChaosFault::CrashApp)
             .map(|&(o, _)| o)
@@ -1546,20 +1448,14 @@ fn check_recovery_lints(input: &PreflightInput, d: &mut Vec<Diagnostic>) {
 }
 
 /// Predict the decision-determined causal-edge multiset from the exact
-/// walks. Signatures follow `CausalGraph::edge_profile`'s role grammar
-/// (`"kind:seg0/segN(src)=>seg0/segN(dst)"`, EOS edges coarse-grained to
-/// the first path segment).
-fn build_skeleton(input: &PreflightInput, walks: &[RankWalk]) -> CausalSkeleton {
+/// walks' deliveries. Signatures follow `CausalGraph::edge_profile`'s
+/// role grammar (`"kind:seg0/segN(src)=>seg0/segN(dst)"`, EOS edges
+/// coarse-grained to the first path segment).
+fn build_skeleton(delivered: &Deliveries) -> CausalSkeleton {
     let mut s = CausalSkeleton::default();
-    let mut wire = 0u64;
-    let mut eos = 0u64;
-    let mut steal = 0u64;
-    for w in walks {
-        wire += w.net_delivered.iter().sum::<u64>();
-        eos += w.eos_delivered.iter().sum::<u64>();
-        steal += w.disk_delivered.iter().sum::<u64>();
-    }
-    let _ = input;
+    let wire: u64 = delivered.net.iter().sum();
+    let eos: u64 = delivered.eos.iter().sum();
+    let steal: u64 = delivered.disk.iter().sum();
     s.add("wire:sim/send=>ana/recv", wire);
     s.add("eos:sim=>ana", eos);
     s.add("steal:sim/writer=>ana/recv", steal);

@@ -72,7 +72,8 @@ pub struct WorkflowSpec {
     /// Scripted flow-control gates interpreted by the Zipper sender/writer
     /// processes (`None` = ungated). Wire ordinals follow the same
     /// data-wire counting as [`ChaosPlan`], so one script drives both the
-    /// threaded runtime's `GatedSender` and the DES NIC model.
+    /// threaded runtime's `SenderGate` and the DES NIC model — two drivers
+    /// of the same `GateWalk`.
     pub backpressure: Option<BackpressureScript>,
     /// Recovery budgets handed to every policy kernel (writer revival,
     /// consumer restart). Default: recovery disabled.
@@ -295,7 +296,9 @@ impl WorkflowSpec {
             // Steal-credit satisfiability is checked against the per-rank
             // block budget, so an unsatisfiable script is rejected here
             // instead of (fail-open) degrading at run time.
-            script.validate(Some(self.steps * self.blocks_per_rank_step()))?;
+            script
+                .validate(Some(self.steps * self.blocks_per_rank_step()))
+                .map_err(|e| e.to_string())?;
         }
         Ok(())
     }

@@ -42,18 +42,18 @@
 //!
 //! When [`WorkflowSpec::backpressure`] carries a
 //! [`BackpressureScript`](zipper_types::BackpressureScript), the sender
-//! process models a flow-controlled NIC: at each scripted data-wire
-//! ordinal the taken block is held in xmit-wait until the gate opens — a
-//! fixed virtual-time `Hold`, or an `OpenAfterSteals` credit window that
-//! opens once the rank's writer has stolen the scripted cumulative block
-//! count. The held span is recorded as `Stall` and charged to
-//! `net.backpressure_ns` plus the node's XmitWait counter, exactly like
-//! the threaded `GatedSender`. While a credit window is armed, the writer
-//! steals every buffered block regardless of the high-water mark (the
-//! threaded `SenderGate::steal_phase` override), so a script pins an
-//! exact partial steal schedule on both substrates. All gates fail open:
-//! a retiring writer floods the credit gate, a closing sender floods the
-//! window gate.
+//! process models a flow-controlled NIC. A rank's sender and writer
+//! share one [`GateWalk`] (the walk the threaded `SenderGate` drives) and
+//! turn its steps into engine gate ops: at a scripted data-wire ordinal
+//! the taken block is held in xmit-wait for a virtual-time `Hold`, or
+//! until the rank's writer has stolen an `OpenAfterSteals` window's
+//! cumulative block count. The held span is recorded as `Stall` and
+//! charged to `net.backpressure_ns` plus the node's XmitWait counter.
+//! While a credit window is armed, the writer steals every buffered block
+//! regardless of the high-water mark, so a script pins an exact partial
+//! steal schedule on both substrates. All gates fail open: a retiring
+//! writer cancels the walk and floods the credit gate, a closing sender
+//! cancels it and floods the arm gate.
 
 use crate::spec::{tag, ClusterLayout, WorkflowSpec};
 use hpcsim::{BufferTaken, GateId, Op, ProcCtx, Program, Simulator, Step};
@@ -63,7 +63,7 @@ use zipper_apps::AppCostModel;
 use zipper_policy::{Channel, ConsumerPolicy, ProducerPolicy, RetireReason};
 use zipper_trace::SpanKind;
 use zipper_types::{
-    BlockId, ChaosEntity, ChaosFault, ChaosScope, GateRule, GateWindow, PreserveMode, ProcId, Rank,
+    BlockId, ChaosEntity, ChaosFault, ChaosScope, GateStep, GateWalk, PreserveMode, ProcId, Rank,
     SimTime, StepId,
 };
 
@@ -211,23 +211,27 @@ impl Program for ComputeProc {
     }
 }
 
-/// Sender-side interpreter state of one rank's backpressure script: the
-/// DES analogue of the wire-counting half of the threaded
-/// [`zipper_types::SenderGate`].
-pub struct SenderGateScript {
-    /// This rank's scripted windows, in ordinal order.
-    windows: Vec<GateWindow>,
-    /// Index of the next window not yet reached.
-    next: usize,
-    /// Data wires attempted so far (the gate ordinal counter).
-    wires: u64,
-    /// Cumulative-steal credit gate, signalled by the writer per steal.
-    gate_s: GateId,
-    /// Window-arm gate, signalled here as each credit window is reached.
-    gate_w: GateId,
-    /// Fail-open flag shared with the writer: set when either side can no
-    /// longer participate (sender drained, writer dead).
-    cancelled: Rc<Cell<bool>>,
+/// One rank's gate walk plus its two engine gates, shared by the rank's
+/// sender and writer processes (the DES twin of `SenderGate`).
+pub struct RankGate {
+    walk: RefCell<GateWalk>,
+    /// Cumulative-steal credit gate: the writer signals one per steal;
+    /// the sender waits on an armed window's target.
+    credits: GateId,
+    /// Arm gate: the sender signals one per credit window it arms; the
+    /// writer waits on the walk's pending arm count.
+    arms: GateId,
+}
+
+impl RankGate {
+    /// Fail the walk open and flood `gate`, releasing whoever waits on it.
+    fn cancel(&self, gate: GateId, ops: &mut Vec<Op>) {
+        self.walk.borrow_mut().cancel();
+        ops.push(Op::GateSignal {
+            gate,
+            n: GATE_FLOOD,
+        });
+    }
 }
 
 /// The sender thread: drain the producer buffer over the message channel,
@@ -242,7 +246,7 @@ pub struct SenderProc {
     receivers: Rc<Vec<ProcId>>,
     policy: SharedProducerPolicy,
     chaos: Rc<ChaosScope>,
-    script: Option<SenderGateScript>,
+    gate: Option<Rc<RankGate>>,
     /// Concurrent-transfer shutdown interlock: the threaded sender's
     /// `writer_done.wait()`. The gate opens when the writer retires; the
     /// flag says whether it died faulted, in which case this sender covers
@@ -263,7 +267,7 @@ impl SenderProc {
         receivers: Rc<Vec<ProcId>>,
         policy: SharedProducerPolicy,
         chaos: Rc<ChaosScope>,
-        script: Option<SenderGateScript>,
+        gate: Option<Rc<RankGate>>,
         writer_done: Option<(GateId, Rc<Cell<bool>>)>,
     ) -> Self {
         let dead = vec![false; receivers.len()];
@@ -273,7 +277,7 @@ impl SenderProc {
             receivers,
             policy,
             chaos,
-            script,
+            gate,
             writer_done,
             dead,
             started: false,
@@ -281,40 +285,26 @@ impl SenderProc {
         }
     }
 
-    /// Count one attempted data wire against the script and emit the gate
-    /// ops of a window landing on this ordinal. The caller appends the
+    /// Pass one attempted data wire through the walk and emit the gate
+    /// ops of a window landing on its ordinal. The caller appends the
     /// wire's own ops *after* these, so the block is popped and routed
-    /// first, then held pre-transmit — the threaded `GatedSender` order.
-    fn gate_ops(&mut self, ops: &mut Vec<Op>) {
-        let Some(s) = &mut self.script else { return };
-        s.wires += 1;
-        let Some(w) = s.windows.get(s.next) else {
-            return;
-        };
-        if s.wires != w.wire {
-            return;
-        }
-        let rule = w.rule;
-        s.next += 1;
-        match rule {
-            GateRule::Hold(d) => {
+    /// first, then held pre-transmit — the threaded sender's order.
+    fn gate_ops(&self, ops: &mut Vec<Op>) {
+        let Some(g) = &self.gate else { return };
+        match g.walk.borrow_mut().pass_data_wire().1 {
+            GateStep::Pass => {}
+            GateStep::Hold(d) => {
                 let dur = sim_dur(d);
                 if dur > SimTime::ZERO {
                     ops.push(Op::Backpressure { dur });
                 }
             }
-            GateRule::OpenAfterSteals(target) => {
-                if s.cancelled.get() {
-                    return;
-                }
+            GateStep::AwaitSteals(target) => {
                 // Arm the window (waking the writer into its steal loop),
                 // then stall until the cumulative credit target is met.
-                ops.push(Op::GateSignal {
-                    gate: s.gate_w,
-                    n: 1,
-                });
+                ops.push(Op::GateSignal { gate: g.arms, n: 1 });
                 ops.push(Op::GateWait {
-                    gate: s.gate_s,
+                    gate: g.credits,
                     need: target,
                     kind: SpanKind::Stall,
                 });
@@ -384,7 +374,8 @@ impl Program for SenderProc {
                 if !self.dead[dest.idx()] {
                     // Gate ordinals tick before the chaos scope consults its
                     // plan — parity with the threaded stack, where the
-                    // outermost `GatedSender` sees the wire first.
+                    // sender passes its gate before the chaos wrapper sees
+                    // the wire.
                     self.gate_ops(&mut ops);
                     let tag = tag::make(tag::DATA, id.step.0, id.idx as u64);
                     self.wire_ops(&mut ops, dest.idx(), bytes, tag, id.step.0);
@@ -396,14 +387,10 @@ impl Program for SenderProc {
                 if !self.eos_sent {
                     self.eos_sent = true;
                     let mut ops = Vec::new();
-                    if let Some(s) = &self.script {
+                    if let Some(g) = &self.gate {
                         // Windows past the last data wire can never arm:
                         // fail the writer's window wait open first.
-                        s.cancelled.set(true);
-                        ops.push(Op::GateSignal {
-                            gate: s.gate_w,
-                            n: GATE_FLOOD,
-                        });
+                        g.cancel(g.arms, &mut ops);
                     }
                     let targets = self.policy.borrow_mut().announce_eos(Channel::Net);
                     for q in targets {
@@ -450,37 +437,17 @@ impl Program for SenderProc {
     }
 }
 
-/// Writer-side interpreter state of one rank's backpressure script: the
-/// credit windows only (`Hold` windows never involve the writer).
-pub struct WriterGateScript {
-    /// Cumulative steal targets, one per `OpenAfterSteals` window, in
-    /// script order.
-    targets: Vec<u64>,
-    /// Index of the current (or next) credit window.
-    widx: usize,
-    /// Steals credited so far (mirrors the `gate_s` count).
-    steals: u64,
-    /// True once the sender armed window `widx`.
-    armed: bool,
-    gate_s: GateId,
-    gate_w: GateId,
-    cancelled: Rc<Cell<bool>>,
-}
-
 /// Control state of the writer process. `last_take` persists across
 /// resumes in the engine, so a writer interleaving gate waits with buffer
 /// takes must know *why* it was woken — an explicit mode, not the stale
 /// take result, drives each resume.
 enum WriterMode {
-    /// Not yet started.
-    Start,
-    /// Parked on `gate_w` until the sender arms the next credit window.
-    AwaitWindow,
-    /// Inside an armed window: steal every buffered block (occupancy ≥ 1)
-    /// until the cumulative target is met.
-    Stealing,
-    /// Algorithm 1: steal only above the high-water mark.
-    Normal,
+    /// Pick the next phase: first start, or woken on the arm gate by the
+    /// sender arming the pending window (or flooding it on close).
+    Schedule,
+    /// A buffer take is outstanding: an armed window's (occupancy ≥ 1)
+    /// or Algorithm 1's (occupancy above the high-water mark).
+    Take,
     /// Retired (drained or dead): finish on the next resume.
     Retired,
 }
@@ -500,7 +467,7 @@ pub struct WriterProc {
     receivers: Rc<Vec<ProcId>>,
     policy: SharedProducerPolicy,
     chaos: Rc<ChaosScope>,
-    script: Option<WriterGateScript>,
+    gate: Option<Rc<RankGate>>,
     /// Retirement interlock shared with this rank's sender: signal the
     /// gate once on any exit; set the flag when dying faulted.
     done_gate: GateId,
@@ -517,7 +484,7 @@ impl WriterProc {
         receivers: Rc<Vec<ProcId>>,
         policy: SharedProducerPolicy,
         chaos: Rc<ChaosScope>,
-        script: Option<WriterGateScript>,
+        gate: Option<Rc<RankGate>>,
         (done_gate, died): (GateId, Rc<Cell<bool>>),
     ) -> Self {
         WriterProc {
@@ -526,12 +493,12 @@ impl WriterProc {
             receivers,
             policy,
             chaos,
-            script,
+            gate,
             done_gate,
             died,
             key_base: (rank as u64) << 32,
             counter: 0,
-            mode: WriterMode::Start,
+            mode: WriterMode::Schedule,
         }
     }
 
@@ -551,32 +518,26 @@ impl WriterProc {
     /// normal high-water-mark take. Windows whose cumulative target is
     /// already met pass through without steals.
     fn schedule(&mut self) -> Op {
-        if let Some(s) = &mut self.script {
-            if s.cancelled.get() {
-                s.widx = s.targets.len();
-            }
-            while s.widx < s.targets.len() && s.steals >= s.targets[s.widx] {
-                s.widx += 1;
-                s.armed = false;
-            }
-            if s.widx < s.targets.len() {
-                if s.armed {
-                    self.mode = WriterMode::Stealing;
+        if let Some(g) = &self.gate {
+            let walk = g.walk.borrow();
+            if let Some(need) = walk.pending_arm() {
+                if walk.arms() >= need {
+                    self.mode = WriterMode::Take;
                     return Op::BufferTake {
                         buf: self.buf,
                         min_occupancy: 1,
                         kind: SpanKind::Idle,
                     };
                 }
-                self.mode = WriterMode::AwaitWindow;
+                self.mode = WriterMode::Schedule;
                 return Op::GateWait {
-                    gate: s.gate_w,
-                    need: (s.widx + 1) as u64,
+                    gate: g.arms,
+                    need,
                     kind: SpanKind::Idle,
                 };
             }
         }
-        self.mode = WriterMode::Normal;
+        self.mode = WriterMode::Take;
         self.take()
     }
 
@@ -587,12 +548,8 @@ impl WriterProc {
         if fatal {
             self.died.set(true);
         }
-        if let Some(s) = &self.script {
-            s.cancelled.set(true);
-            ops.push(Op::GateSignal {
-                gate: s.gate_s,
-                n: GATE_FLOOD,
-            });
+        if let Some(g) = &self.gate {
+            g.cancel(g.credits, ops);
         }
         ops.push(Op::GateSignal {
             gate: self.done_gate,
@@ -606,16 +563,8 @@ impl Program for WriterProc {
     fn resume(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
         match self.mode {
             WriterMode::Retired => return Step::Done,
-            WriterMode::Start => return Step::Ops(vec![self.schedule()]),
-            WriterMode::AwaitWindow => {
-                // Woken by the sender arming window `widx` (or flooding the
-                // gate on close); `schedule` tells the cases apart.
-                if let Some(s) = &mut self.script {
-                    s.armed = true;
-                }
-                return Step::Ops(vec![self.schedule()]);
-            }
-            WriterMode::Stealing | WriterMode::Normal => {}
+            WriterMode::Schedule => return Step::Ops(vec![self.schedule()]),
+            WriterMode::Take => {}
         }
         match ctx.last_take.expect("writer resumed without take result") {
             BufferTaken::Item { bytes, token } => {
@@ -670,13 +619,13 @@ impl Program for WriterProc {
                         kind: SpanKind::Send,
                     },
                 ];
-                if let Some(s) = &mut self.script {
+                if let Some(g) = &self.gate {
                     // Credit the steal whichever phase earned it — normal
                     // steals count toward the cumulative target too, same
                     // as the threaded `SenderGate::note_steal` placement.
-                    s.steals += 1;
+                    g.walk.borrow_mut().note_steal();
                     ops.push(Op::GateSignal {
-                        gate: s.gate_s,
+                        gate: g.credits,
                         n: 1,
                     });
                 }
@@ -1254,52 +1203,27 @@ fn build_zipper(
         let policy = Rc::new(RefCell::new(pp));
         policies.producers.push(policy.clone());
 
-        // Backpressure-script gates for this rank. Without a writer there
-        // is no one to earn steal credits, so in message-only mode credit
-        // windows are failed open at build time (the threaded gate does
-        // the same through `retire_writer` at spawn); `Hold` windows still
-        // apply.
-        let mut windows = spec
+        // Backpressure-script gate for this rank, built only when the
+        // script gives it windows. Without a writer there is no one to
+        // earn steal credits, so a message-only rank's walk is cancelled
+        // at build time (the threaded spawn cancels its gate the same
+        // way): credit windows pass, `Hold` windows still apply.
+        let gate = spec
             .backpressure
             .as_ref()
             .map(|s| s.windows_for(Rank(r as u32)))
-            .unwrap_or_default();
-        if !spec.concurrent_transfer {
-            windows.retain(|w| matches!(w.rule, GateRule::Hold(_)));
-        }
-        let (sender_script, writer_script) = if windows.is_empty() {
-            (None, None)
-        } else {
-            let gate_s = sim.add_gate();
-            let gate_w = sim.add_gate();
-            let cancelled = Rc::new(Cell::new(false));
-            let targets: Vec<u64> = windows
-                .iter()
-                .filter_map(|w| match w.rule {
-                    GateRule::OpenAfterSteals(t) => Some(t),
-                    GateRule::Hold(_) => None,
+            .filter(|w| !w.is_empty())
+            .map(|windows| {
+                let mut walk = GateWalk::new(windows);
+                if !spec.concurrent_transfer {
+                    walk.cancel();
+                }
+                Rc::new(RankGate {
+                    walk: RefCell::new(walk),
+                    credits: sim.add_gate(),
+                    arms: sim.add_gate(),
                 })
-                .collect();
-            (
-                Some(SenderGateScript {
-                    windows,
-                    next: 0,
-                    wires: 0,
-                    gate_s,
-                    gate_w,
-                    cancelled: cancelled.clone(),
-                }),
-                Some(WriterGateScript {
-                    targets,
-                    widx: 0,
-                    steals: 0,
-                    armed: false,
-                    gate_s,
-                    gate_w,
-                    cancelled,
-                }),
-            )
-        };
+            });
         // The writer-retirement interlock exists for every concurrent
         // rank, scripted or not: it is how writer death propagates to the
         // consumers (the sender covers the disk channel's EOS).
@@ -1316,7 +1240,7 @@ fn build_zipper(
                 receivers.clone(),
                 policy.clone(),
                 Rc::new(plan.scope(ChaosEntity::Sender(Rank(r as u32)))),
-                sender_script,
+                gate.clone(),
                 writer_done.clone(),
             ),
         );
@@ -1330,7 +1254,7 @@ fn build_zipper(
                     receivers.clone(),
                     policy,
                     Rc::new(plan.scope(ChaosEntity::Writer(Rank(r as u32)))),
-                    writer_script,
+                    gate,
                     (done_gate, died),
                 ),
             );
@@ -1383,6 +1307,7 @@ mod tests {
     use crate::spec::sim_config;
     use hpcsim::Simulator;
     use zipper_apps::Complexity;
+    use zipper_types::GateRule;
 
     fn tiny_synthetic(concurrent: bool) -> WorkflowSpec {
         let mut s = WorkflowSpec::synthetic(

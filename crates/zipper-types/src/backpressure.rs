@@ -30,16 +30,16 @@
 //! in route order. Disk-only ID flushes, EOS markers, and sends skipped
 //! for dead destinations are *not* counted.
 //!
-//! The threaded interpreter is [`SenderGate`]: the producer's transport
-//! wrapper calls [`SenderGate::pass_data_wire`] before each data wire,
-//! and the writer thread reports progress through
-//! [`SenderGate::note_steal`]. While a steal window is armed the writer's
-//! take predicate treats the queue as over the high-water mark
-//! ([`SenderGate::steal_phase`]), which is exactly the condition real
-//! backpressure produces. Every blocking path fails open: a retired
-//! writer cancels all pending windows rather than deadlocking the sender.
-//! The DES interprets the same script directly with engine gate events —
-//! see `zipper-transports`' zipper model.
+//! One plain-data machine, [`GateWalk`], walks a rank's windows and says
+//! what the sender does with each data wire ([`GateStep`]). It has no
+//! clock and no lock; three drivers supply the waiting. The threaded
+//! [`SenderGate`] wraps it in a mutex and condition variable: the sender
+//! thread passes it before each data wire, and while a steal window is
+//! armed the writer treats the queue as over the high-water mark
+//! ([`SenderGate::steal_phase`]) — exactly what real backpressure
+//! produces. The DES turns its steps into engine gate ops, and static
+//! preflight walks it symbolically. Every blocking path fails open: a
+//! retired writer or a drained sender calls [`GateWalk::cancel`].
 
 use crate::ids::Rank;
 use std::sync::{Condvar, Mutex};
@@ -109,7 +109,7 @@ impl BackpressureScript {
     /// the rank's total production — an unsatisfiable window would stall
     /// the sender forever (the interpreters still fail open, but the run
     /// would no longer exercise the scripted schedule).
-    pub fn validate(&self, blocks_per_rank: Option<u64>) -> Result<(), String> {
+    pub fn validate(&self, blocks_per_rank: Option<u64>) -> Result<(), ScriptError> {
         let mut ranks: Vec<Rank> = self.gates.iter().map(|&(r, _)| r).collect();
         ranks.sort_by_key(|r| r.0);
         ranks.dedup();
@@ -119,31 +119,34 @@ impl BackpressureScript {
             let mut last_target = 0u64;
             for w in &windows {
                 if w.wire == 0 {
-                    return Err(format!("rank {}: gate wire ordinals are 1-based", rank.0));
+                    return Err(ScriptError::Malformed(format!(
+                        "rank {}: gate wire ordinals are 1-based",
+                        rank.0
+                    )));
                 }
                 if w.wire <= last_wire {
-                    return Err(format!(
+                    return Err(ScriptError::Malformed(format!(
                         "rank {}: duplicate or unsorted gate at wire {}",
                         rank.0, w.wire
-                    ));
+                    )));
                 }
                 last_wire = w.wire;
                 if let GateRule::OpenAfterSteals(target) = w.rule {
                     if target < last_target {
-                        return Err(format!(
+                        return Err(ScriptError::Malformed(format!(
                             "rank {}: steal target {} at wire {} regresses below {} \
                              (targets are cumulative)",
                             rank.0, target, w.wire, last_target
-                        ));
+                        )));
                     }
                     last_target = target;
                     if let Some(total) = blocks_per_rank {
                         if w.wire + target > total {
-                            return Err(format!(
+                            return Err(ScriptError::Unsatisfiable(format!(
                                 "rank {}: window at wire {} needs {} sent + {} stolen \
                                  but the rank produces only {} blocks",
                                 rank.0, w.wire, w.wire, target, total
-                            ));
+                            )));
                         }
                     }
                 }
@@ -153,27 +156,152 @@ impl BackpressureScript {
     }
 }
 
-#[derive(Debug, Default)]
-struct GateState {
-    /// Data wires counted so far (1-based after increment).
+/// Why [`BackpressureScript::validate`] rejected a script.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ScriptError {
+    /// Structurally malformed: a 0 wire ordinal, a duplicate wire, or a
+    /// regressing cumulative steal target.
+    Malformed(String),
+    /// A credit window needs more blocks sent plus stolen than the rank
+    /// produces: it can never open.
+    Unsatisfiable(String),
+}
+
+impl std::fmt::Display for ScriptError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScriptError::Malformed(why) | ScriptError::Unsatisfiable(why) => f.write_str(why),
+        }
+    }
+}
+
+/// What the sender does with one data wire, as decided by a [`GateWalk`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GateStep {
+    /// Ungated, or a credit window failed open: transmit now.
+    Pass,
+    /// A `Hold` window: hold the wire for this span, then transmit.
+    Hold(Duration),
+    /// A credit window armed: hold the wire until the writer has stolen
+    /// this many blocks cumulatively. A target already met opens at once.
+    AwaitSteals(u64),
+}
+
+/// The window walk of one rank's [`BackpressureScript`]: plain data, no
+/// clock, no lock. It owns the data-wire and steal counters, the armed
+/// credit window, the arm count, and the fail-open flag; each substrate
+/// drives it and supplies the waiting (see the module docs).
+#[derive(Clone, Debug, Default)]
+pub struct GateWalk {
+    /// The rank's windows, sorted by wire ordinal.
+    windows: Vec<GateWindow>,
+    /// Index of the next window not yet reached.
+    next: usize,
+    /// Data wires counted so far (the last one's 1-based ordinal).
     wires: u64,
     /// Blocks the writer has stolen so far.
     steals: u64,
-    /// Index of the next unconsumed window.
-    next: usize,
-    /// The cumulative steal target of the currently armed window, if a
-    /// steal window is holding the sender right now.
+    /// Cumulative target of the last credit window armed.
     armed: Option<u64>,
-    /// Set when the writer retires: every present and future window
-    /// fails open.
+    /// Credit windows armed so far.
+    arms: u64,
+    /// Every present and future credit window fails open.
     cancelled: bool,
+}
+
+impl GateWalk {
+    /// Walk `windows` ([`BackpressureScript::windows_for`] gives one
+    /// rank's; they are sorted here by wire ordinal either way).
+    pub fn new(mut windows: Vec<GateWindow>) -> Self {
+        windows.sort_by_key(|w| w.wire);
+        GateWalk {
+            windows,
+            ..GateWalk::default()
+        }
+    }
+
+    /// Count one data wire: its 1-based ordinal and what the sender must
+    /// do with it. A credit window arms even when its target is already
+    /// met; once cancelled, credit windows pass and `Hold` windows hold.
+    pub fn pass_data_wire(&mut self) -> (u64, GateStep) {
+        self.wires += 1;
+        let step = match self.windows.get(self.next) {
+            Some(w) if w.wire == self.wires => {
+                self.next += 1;
+                match w.rule {
+                    GateRule::Hold(d) => GateStep::Hold(d),
+                    GateRule::OpenAfterSteals(_) if self.cancelled => GateStep::Pass,
+                    GateRule::OpenAfterSteals(target) => {
+                        self.armed = Some(target);
+                        self.arms += 1;
+                        GateStep::AwaitSteals(target)
+                    }
+                }
+            }
+            _ => GateStep::Pass,
+        };
+        (self.wires, step)
+    }
+
+    /// Whether an armed credit window is unmet: the sender is held, and
+    /// the writer steals every buffered block.
+    pub fn steal_phase(&self) -> bool {
+        !self.cancelled && self.armed.is_some_and(|target| self.steals < target)
+    }
+
+    /// The writer stole one block.
+    pub fn note_steal(&mut self) {
+        self.steals += 1;
+    }
+
+    /// Fail open: no credit window holds the sender from now on.
+    pub fn cancel(&mut self) {
+        self.cancelled = true;
+    }
+
+    /// The arm count at which the first credit window with an unmet target
+    /// is armed (met windows are skipped: nothing to steal for them), or
+    /// `None` when none is left or the walk is cancelled.
+    pub fn pending_arm(&self) -> Option<u64> {
+        if self.cancelled {
+            return None;
+        }
+        self.windows
+            .iter()
+            .filter_map(|w| match w.rule {
+                GateRule::OpenAfterSteals(target) => Some(target),
+                GateRule::Hold(_) => None,
+            })
+            .position(|target| self.steals < target)
+            .map(|i| i as u64 + 1)
+    }
+
+    /// Credit windows armed so far.
+    pub fn arms(&self) -> u64 {
+        self.arms
+    }
+
+    /// Data wires counted so far.
+    pub fn wires(&self) -> u64 {
+        self.wires
+    }
+
+    /// Blocks stolen so far.
+    pub fn steals(&self) -> u64 {
+        self.steals
+    }
+
+    /// The windows no data wire has reached yet.
+    pub fn unreached(&self) -> &[GateWindow] {
+        &self.windows[self.next..]
+    }
 }
 
 type Waker = Box<dyn Fn() + Send + Sync>;
 
-/// The threaded interpreter of one rank's [`BackpressureScript`] windows.
+/// The threaded driver of one rank's [`GateWalk`].
 ///
-/// Shared between the rank's transport wrapper (which calls
+/// Shared between the rank's sender thread (which calls
 /// [`SenderGate::pass_data_wire`] and blocks inside it) and its writer
 /// thread (which polls [`SenderGate::steal_phase`] inside the queue's
 /// take predicate and reports [`SenderGate::note_steal`]). The optional
@@ -182,29 +310,19 @@ type Waker = Box<dyn Fn() + Send + Sync>;
 /// (lock order anywhere in the runtime is queue → gate, never both
 /// held).
 pub struct SenderGate {
-    windows: Vec<GateWindow>,
-    state: Mutex<GateState>,
+    walk: Mutex<GateWalk>,
     opened: Condvar,
     waker: Mutex<Option<Waker>>,
 }
 
 impl SenderGate {
-    /// Interpret `windows` (sorted by wire ordinal; [`BackpressureScript::windows_for`]
-    /// provides them sorted).
-    pub fn new(mut windows: Vec<GateWindow>) -> Self {
-        windows.sort_by_key(|w| w.wire);
+    /// Interpret one rank's `windows`.
+    pub fn new(windows: Vec<GateWindow>) -> Self {
         SenderGate {
-            windows,
-            state: Mutex::new(GateState::default()),
+            walk: Mutex::new(GateWalk::new(windows)),
             opened: Condvar::new(),
             waker: Mutex::new(None),
         }
-    }
-
-    /// True when no windows are scripted — the wrapper can skip the
-    /// lock entirely.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 
     /// Register the callback an arming window uses to wake the writer
@@ -222,33 +340,25 @@ impl SenderGate {
     /// Count one data wire; if it is gated, hold until the window opens.
     /// Returns the time spent held (zero for ungated wires), which the
     /// caller charges to `net.backpressure_ns`.
-    // Threaded-substrate interpreter: Hold sleeps the real sender and the
-    // armed-window wait is timed on the wall clock; the DES interprets the
-    // same script in virtual time (zipper-transports::gate).
+    // Threaded-substrate driver: Hold sleeps the real sender and the
+    // armed-window wait is timed on the wall clock; the DES drives the
+    // same walk in virtual time.
     #[allow(clippy::disallowed_methods)]
     pub fn pass_data_wire(&self) -> Duration {
-        let mut g = self.state.lock().unwrap();
-        g.wires += 1;
-        let Some(&window) = self.windows.get(g.next) else {
-            return Duration::ZERO;
-        };
-        if g.wires != window.wire {
-            return Duration::ZERO;
-        }
-        g.next += 1;
-        match window.rule {
-            GateRule::Hold(d) => {
+        let mut g = self.walk.lock().unwrap();
+        match g.pass_data_wire().1 {
+            GateStep::Pass => Duration::ZERO,
+            GateStep::Hold(d) => {
                 drop(g);
                 if !d.is_zero() {
                     std::thread::sleep(d);
                 }
                 d
             }
-            GateRule::OpenAfterSteals(target) => {
-                if g.steals >= target || g.cancelled {
-                    return Duration::ZERO;
+            GateStep::AwaitSteals(_) => {
+                if !g.steal_phase() {
+                    return Duration::ZERO; // target already met
                 }
-                g.armed = Some(target);
                 drop(g);
                 // The writer may be parked on the queue below the
                 // high-water mark (nudge) or between windows inside
@@ -257,15 +367,14 @@ impl SenderGate {
                 self.opened.notify_all();
                 self.wake();
                 let t0 = Instant::now();
-                let mut g = self.state.lock().unwrap();
-                while g.steals < target && !g.cancelled {
+                let mut g = self.walk.lock().unwrap();
+                while g.steal_phase() {
                     g = self.opened.wait(g).unwrap();
                 }
-                g.armed = None;
                 drop(g);
-                // Disarming changes the writer's predicate back; wake it
-                // again so it re-parks at its normal threshold instead
-                // of stealing past the window.
+                // The window opened, which changes the writer's predicate
+                // back; wake it again so it re-parks at its normal
+                // threshold instead of stealing past the window.
                 self.wake();
                 t0.elapsed()
             }
@@ -275,37 +384,21 @@ impl SenderGate {
     /// Whether a steal window is armed and unmet — the writer's take
     /// predicate treats this exactly like queue-over-high-water-mark.
     pub fn steal_phase(&self) -> bool {
-        let g = self.state.lock().unwrap();
-        !g.cancelled && g.armed.is_some_and(|target| g.steals < target)
+        self.walk.lock().unwrap().steal_phase()
     }
 
     /// The writer stole one block; open any window this satisfies.
     pub fn note_steal(&self) {
-        let mut g = self.state.lock().unwrap();
-        g.steals += 1;
-        drop(g);
+        self.walk.lock().unwrap().note_steal();
         self.opened.notify_all();
     }
 
-    /// The writer retired (drained or dead): cancel every window so no
-    /// sender blocks on steals that can never happen.
-    pub fn retire_writer(&self) {
-        self.cancel();
-    }
-
-    /// The sender drained the queue (or is detached and never passes
-    /// wires): no further data wire exists, so windows at higher ordinals
-    /// can never arm. Cancel them so a writer parked in
-    /// [`SenderGate::await_steal_window`] retires instead of waiting for
-    /// a wire that will never come.
-    pub fn close_windows(&self) {
-        self.cancel();
-    }
-
-    fn cancel(&self) {
-        let mut g = self.state.lock().unwrap();
-        g.cancelled = true;
-        drop(g);
+    /// Fail every window open: the writer retired (no steals can come),
+    /// or the sender drained (no wire can arm a window). Releases a
+    /// sender held on an unmet window and a writer parked in
+    /// [`SenderGate::await_steal_window`].
+    pub fn cancel(&self) {
+        self.walk.lock().unwrap().cancel();
         self.opened.notify_all();
     }
 
@@ -321,28 +414,26 @@ impl SenderGate {
     /// from the DES (whose writer waits on the window gate, not the
     /// buffer).
     pub fn await_steal_window(&self) -> bool {
-        let mut g = self.state.lock().unwrap();
+        let mut g = self.walk.lock().unwrap();
         loop {
-            if g.cancelled {
-                return false;
-            }
-            if g.armed.is_some_and(|target| g.steals < target) {
+            if g.steal_phase() {
                 return true;
             }
-            let pending = self.windows[g.next..].iter().any(|w| match w.rule {
-                GateRule::OpenAfterSteals(target) => g.steals < target,
-                GateRule::Hold(_) => false,
-            });
-            if !pending {
+            if g.pending_arm().is_none() {
                 return false;
             }
             g = self.opened.wait(g).unwrap();
         }
     }
 
+    /// Data wires counted so far: the ordinal of the wire last passed.
+    pub fn wires(&self) -> u64 {
+        self.walk.lock().unwrap().wires()
+    }
+
     /// Blocks stolen so far (test observability).
     pub fn steals(&self) -> u64 {
-        self.state.lock().unwrap().steals
+        self.walk.lock().unwrap().steals()
     }
 }
 
@@ -381,6 +472,63 @@ mod tests {
         let unsat = BackpressureScript::new().with(Rank(0), 4, GateRule::OpenAfterSteals(5));
         assert!(unsat.validate(Some(8)).is_err());
         assert!(unsat.validate(None).is_ok(), "satisfiability needs totals");
+    }
+
+    const HOLD: GateRule = GateRule::Hold(Duration::from_millis(3));
+    const HELD: GateStep = GateStep::Hold(Duration::from_millis(3));
+
+    fn walk(windows: &[(u64, GateRule)]) -> GateWalk {
+        GateWalk::new(
+            windows
+                .iter()
+                .map(|&(wire, rule)| GateWindow { wire, rule })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn walk_returns_ordinals_and_arms_met_windows_open() {
+        use GateRule::OpenAfterSteals as Credit;
+        let mut walk = walk(&[(3, Credit(2)), (2, HOLD), (4, Credit(2))]);
+        assert_eq!(walk.pass_data_wire(), (1, GateStep::Pass));
+        assert_eq!(walk.pass_data_wire(), (2, HELD));
+        assert_eq!(walk.pass_data_wire(), (3, GateStep::AwaitSteals(2)));
+        assert!(walk.steal_phase());
+        walk.note_steal();
+        walk.note_steal();
+        assert!(!walk.steal_phase(), "target met: the window opened");
+        // Wire 4's window is met when reached: it still arms (the DES
+        // writer counts arms) but holds nothing.
+        assert_eq!(walk.pass_data_wire(), (4, GateStep::AwaitSteals(2)));
+        assert_eq!(walk.arms(), 2);
+        assert!(!walk.steal_phase());
+        assert_eq!(walk.pass_data_wire(), (5, GateStep::Pass));
+    }
+
+    #[test]
+    fn cancel_passes_credit_windows_but_still_holds() {
+        use GateRule::OpenAfterSteals as Credit;
+        let mut walk = walk(&[(1, Credit(5)), (2, HOLD), (3, Credit(6))]);
+        assert_eq!(walk.pass_data_wire().1, GateStep::AwaitSteals(5));
+        walk.cancel();
+        assert!(!walk.steal_phase(), "cancel releases the armed window");
+        assert_eq!(walk.pending_arm(), None);
+        assert_eq!(walk.pass_data_wire().1, HELD);
+        assert_eq!(walk.pass_data_wire().1, GateStep::Pass);
+        assert_eq!(walk.arms(), 1, "a cancelled credit window never arms");
+    }
+
+    #[test]
+    fn pending_arm_skips_met_windows() {
+        use GateRule::OpenAfterSteals as Credit;
+        let mut walk = walk(&[(2, Credit(2)), (3, HOLD), (4, Credit(2)), (5, Credit(3))]);
+        assert_eq!(walk.pending_arm(), Some(1));
+        walk.note_steal();
+        walk.note_steal();
+        // Both target-2 windows are met; the third credit window is next.
+        assert_eq!(walk.pending_arm(), Some(3));
+        walk.note_steal();
+        assert_eq!(walk.pending_arm(), None, "every target met");
     }
 
     #[test]
@@ -434,7 +582,7 @@ mod tests {
             Duration::ZERO,
             "target already met: no hold"
         );
-        gate.retire_writer();
+        gate.cancel();
         assert_eq!(
             gate.pass_data_wire(),
             Duration::ZERO,

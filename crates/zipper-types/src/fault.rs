@@ -188,6 +188,12 @@ impl ChaosScope {
         self.faults.is_empty()
     }
 
+    /// The scheduled (ordinal, fault) pairs, sorted by ordinal
+    /// (detachment aside).
+    pub fn faults(&self) -> &[(u64, ChaosFault)] {
+        &self.faults
+    }
+
     /// Operations counted so far.
     pub fn ops(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)

@@ -23,7 +23,9 @@ pub mod retry;
 pub mod size;
 pub mod time;
 
-pub use backpressure::{BackpressureScript, GateRule, GateWindow, SenderGate};
+pub use backpressure::{
+    BackpressureScript, GateRule, GateStep, GateWalk, GateWindow, ScriptError, SenderGate,
+};
 pub use block::{Block, BlockHeader, GlobalPos, MixedMessage};
 pub use config::{PreserveMode, RecoveryPolicy, RoutingPolicy, WorkflowConfig, ZipperTuning};
 pub use error::{panic_detail, Error, Result, RuntimeError};

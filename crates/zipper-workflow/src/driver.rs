@@ -13,7 +13,6 @@ use zipper_core::{
 use zipper_pfs::{ChaosFs, MemFs, RetryingFs, Storage, ThrottledFs};
 use zipper_policy::{ConsumerPolicy, ProducerPolicy};
 use zipper_trace::{SampleSeries, Sampler, Telemetry, TraceMode, TraceSink};
-use zipper_transports::gate::GatedSender;
 use zipper_types::{
     panic_detail, BackpressureScript, ChaosEntity, ChaosPlan, Rank, RetryPolicy, RuntimeError,
     SenderGate, WorkflowConfig,
@@ -39,10 +38,11 @@ pub struct NetworkOptions {
     /// ([`ChaosPlan::every`]).
     pub chaos: ChaosPlan,
     /// Optional scripted backpressure: each producer whose rank the script
-    /// names gets its sender wrapped outermost in a [`GatedSender`]
-    /// holding the scripted data-wire ordinals until their gate opens
-    /// (a fixed hold, or a cumulative writer-steal credit target). Held
-    /// time is charged to `net.backpressure_ns`.
+    /// names gets a [`SenderGate`] that its sender thread passes before
+    /// each data wire, holding the scripted ordinals until their gate
+    /// opens (a fixed hold, or a cumulative writer-steal credit target).
+    /// Held time is charged to `net.backpressure_ns`. The script is
+    /// validated against the run's block count before any rank spawns.
     pub backpressure: Option<BackpressureScript>,
 }
 
@@ -234,6 +234,10 @@ impl TraceOptions {
 ///   data-availability-driven, and an undrained reader would block the
 ///   runtime threads.
 ///
+/// Panics when `cfg` or the [`NetworkOptions::backpressure`] script is
+/// invalid ([`BackpressureScript::validate`] against this run's block
+/// count), as the DES rejects the same spec.
+///
 /// Returns the report plus the results of the consumers that completed,
 /// in rank order. A producer or consumer app that panics does not abort
 /// the run: the panic is caught, the rank's runtime is torn down through
@@ -283,6 +287,11 @@ where
     C: Fn(Rank, &ZipperReader) -> R + Send + Sync + 'static,
 {
     cfg.validate().expect("invalid workflow config");
+    if let Some(script) = &net.backpressure {
+        script
+            .validate(Some(cfg.steps * cfg.blocks_per_rank_step()))
+            .expect("invalid backpressure script");
+    }
     let telemetry = if trace.telemetry {
         Telemetry::on()
     } else {
@@ -461,22 +470,12 @@ where
             }
             None => traced,
         };
-        // The backpressure gate wraps outermost: a retried send must not
-        // pass the gate twice, and held time is not the inner transport's.
         let gate = net
             .backpressure
             .as_ref()
             .map(|s| s.windows_for(rank))
             .filter(|w| !w.is_empty())
             .map(|w| Arc::new(SenderGate::new(w)));
-        let sender: Box<dyn WireSender> = match &gate {
-            Some(g) => Box::new(
-                GatedSender::new(retried, g.clone())
-                    .with_telemetry(sink.telemetry().clone())
-                    .with_causal(sink.causal().clone(), format!("sim/p{p}/send")),
-            ),
-            None => retried,
-        };
         let mut pp = ProducerPolicy::from_tuning(rank, cfg.consumers, &cfg.tuning);
         if trace.policy {
             pp = pp.recorded();
@@ -488,7 +487,7 @@ where
         let mut prod = Producer::spawn_with_policy_gated(
             rank,
             cfg.tuning,
-            sender,
+            retried,
             producer_storage,
             sink.clone(),
             policy,
@@ -1129,5 +1128,26 @@ mod tests {
         report.assert_complete();
         assert_eq!(report.steal_fraction(), 0.0);
         assert_eq!(report.pfs_blocks, 0);
+    }
+
+    /// A window scripted twice on one wire would be consumed once and
+    /// then block every later window (wire 4's `Hold` would pass
+    /// unheld), so the runner rejects the script up front, as the DES
+    /// spec does.
+    #[test]
+    #[should_panic(expected = "invalid backpressure script")]
+    fn duplicate_gate_wire_is_rejected_before_spawning() {
+        use zipper_types::GateRule::{Hold, OpenAfterSteals};
+        let c = cfg(1, 1, 2);
+        let script = BackpressureScript::new()
+            .with(Rank(0), 2, OpenAfterSteals(1))
+            .with(Rank(0), 2, OpenAfterSteals(2))
+            .with(Rank(0), 4, Hold(Duration::from_millis(1)));
+        let net = NetworkOptions {
+            backpressure: Some(script),
+            ..Default::default()
+        };
+        let trace = TraceOptions::default();
+        let _ = run_workflow_traced(&c, net, StorageOptions::Memory, trace, |_, _| {}, |_, _| {});
     }
 }

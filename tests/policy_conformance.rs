@@ -63,7 +63,8 @@ struct Scenario {
     /// that is what the canonical traces compare.
     eos_timeout: Option<Duration>,
     /// Scripted backpressure gates, interpreted identically by both
-    /// substrates (the threaded `GatedSender` and the DES NIC model).
+    /// substrates (the threaded `SenderGate` and the DES NIC model, two
+    /// drivers of one `GateWalk`).
     backpressure: Option<BackpressureScript>,
 }
 
@@ -671,12 +672,56 @@ fn seeded_backpressure_gate_traces_match() {
     );
 }
 
+/// A credit window already met when its wire is reached: wire 2 holds
+/// until 2 cumulative steals (blocks 2 and 3), wire 3's window asks for
+/// the same 2 and so opens at once, and wire 5 holds until a 3rd (block
+/// 7). The met window still arms on both substrates — the threaded gate
+/// returns without holding, the DES writer skips it — so the schedule
+/// b0 b1 | b2 b3 stolen | b4 b5 b6 | b7 stolen must match exactly.
+#[test]
+fn met_early_gate_window_traces_match() {
+    let producers = 2usize;
+    let mut script = BackpressureScript::new();
+    for p in 0..producers {
+        script = script
+            .with(Rank(p as u32), 2, GateRule::OpenAfterSteals(2))
+            .with(Rank(p as u32), 3, GateRule::OpenAfterSteals(2))
+            .with(Rank(p as u32), 5, GateRule::OpenAfterSteals(3));
+    }
+    let sc = Scenario {
+        producers,
+        consumers: 2,
+        steps: 2,
+        blocks_per_step: 4,
+        producer_slots: 16,
+        high_water_mark: 8, // no unscripted steals
+        concurrent_transfer: true,
+        routing: RoutingPolicy::RoundRobin,
+        backpressure: Some(script),
+        ..Scenario::default()
+    };
+    let threaded = sc.run_threaded();
+    for (p, t) in threaded.0.iter().enumerate() {
+        assert_eq!(t.routes.len(), 8, "producer {p} routes every block");
+        let stolen: Vec<usize> = t
+            .routes
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, _, ch))| *ch == Channel::Disk)
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(stolen, vec![2, 3, 7], "producer {p} steal schedule");
+    }
+    let des = sc.run_des();
+    assert_same("met-early gate window", &threaded, &des);
+}
+
 /// Composition on a single wire: each producer's data wire #2 is both
 /// held by a backpressure gate window (until 3 cumulative steals) and
 /// scripted by a chaos ordinal (producer 0: dropped; producer 1:
 /// delayed). Both substrates order the mechanisms gate-before-chaos —
-/// the threaded `GatedSender` wraps outermost around the `ChaosSender`,
-/// and the DES ticks gate ordinals before the chaos scope consults its
+/// the threaded sender passes its gate before the `ChaosSender` sees the
+/// wire, and the DES ticks gate ordinals before the chaos scope consults its
 /// own — so the held wire still burns its fault ordinal on release and
 /// the fault lands on the same block everywhere: canonical decision
 /// traces must stay byte-identical.

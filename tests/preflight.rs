@@ -67,6 +67,21 @@ fn config_c_spec() -> WorkflowSpec {
     s
 }
 
+/// A credit window already met when reached: wire 3 repeats wire 2's
+/// cumulative target (equal targets are valid), wire 5 needs one more.
+fn met_early_spec() -> WorkflowSpec {
+    let mut s = config_c_spec();
+    let mut script = BackpressureScript::new();
+    for p in 0..2 {
+        script = script
+            .with(Rank(p as u32), 2, GateRule::OpenAfterSteals(2))
+            .with(Rank(p as u32), 3, GateRule::OpenAfterSteals(2))
+            .with(Rank(p as u32), 5, GateRule::OpenAfterSteals(3));
+    }
+    s.backpressure = Some(script);
+    s
+}
+
 fn config_d_spec() -> WorkflowSpec {
     let mut s = base_spec();
     s.preserve = true;
@@ -131,6 +146,7 @@ fn conformance_plans_pass_preflight_clean() {
                 Some(ChaosPlan::new().with(ChaosEntity::Sender(Rank(0)), 9, ChaosFault::DropEos));
             s
         }),
+        ("met-early gate window", met_early_spec()),
         ("gate + chaos composed", {
             let mut s = base_spec();
             s.concurrent_transfer = true;
@@ -179,6 +195,17 @@ fn negative_plans_reject_with_documented_codes() {
         report.render()
     );
 
+    // ZV010: a window scripted twice on one wire.
+    let mut s = config_c_spec();
+    s.backpressure = Some(
+        BackpressureScript::new()
+            .with(Rank(0), 2, GateRule::OpenAfterSteals(1))
+            .with(Rank(0), 2, GateRule::OpenAfterSteals(2)),
+    );
+    let report = s.preflight();
+    assert!(report.is_rejected());
+    assert!(report.has(ZvCode::MalformedScript), "{}", report.render());
+
     // ZV020: dead chaos ordinal (sender performs 10 ops in config A's
     // shape: 8 data wires + 2 EOS marks).
     let mut s = base_spec();
@@ -202,9 +229,10 @@ fn negative_plans_reject_with_documented_codes() {
     assert!(report.is_rejected());
     assert!(report.has(ZvCode::TagBlockOverflow), "{}", report.render());
 
-    // The four codes are pairwise distinct — each negative plan gets its
+    // The five codes are pairwise distinct — each negative plan gets its
     // own diagnostic, not a shared catch-all.
     let codes = [
+        ZvCode::MalformedScript,
         ZvCode::UnsatisfiableWindow,
         ZvCode::DeadOrdinal,
         ZvCode::UnhealedCrash,
@@ -244,6 +272,7 @@ fn skeleton_matches_des_edge_profile() {
     for (name, spec) in [
         ("config B", config_b_spec()),
         ("config C", config_c_spec()),
+        ("met-early gate window", met_early_spec()),
         ("config E", config_e_spec()),
     ] {
         let report = spec.preflight();
