@@ -499,17 +499,24 @@ impl Consumer {
                 .spawn(move || {
                     for id in ids_rx {
                         causal.queue_pop(&ids_label, &flane);
-                        let t0 = causal.now();
-                        match rec.time(SpanKind::FsRead, || storage.get(id)) {
+                        let t0 = rec.now();
+                        let fetched = storage.get(id);
+                        let t1 = rec.now();
+                        rec.record(SpanKind::FsRead, t0, t1);
+                        match fetched {
                             Ok(b) => {
                                 // The fetch itself is a Pfs self-edge: the
                                 // stolen block's detour back from the PFS.
+                                // It spans exactly the FsRead span (one pair
+                                // of clock reads), as on the DES, so the
+                                // critical-path walk can take it instead of
+                                // the lane segment from a later span start.
                                 causal.edge_at(
                                     EdgeKind::Pfs,
                                     &flane,
                                     t0,
                                     &flane,
-                                    causal.now(),
+                                    t1,
                                     causal_token(id),
                                 );
                                 tm.lock().blocks_disk += 1;
