@@ -507,10 +507,8 @@ impl Consumer {
                             Ok(b) => {
                                 // The fetch itself is a Pfs self-edge: the
                                 // stolen block's detour back from the PFS.
-                                // It spans exactly the FsRead span (one pair
-                                // of clock reads), as on the DES, so the
-                                // critical-path walk can take it instead of
-                                // the lane segment from a later span start.
+                                // It spans exactly the FsRead span, as on
+                                // the DES, so the critical path can take it.
                                 causal.edge_at(
                                     EdgeKind::Pfs,
                                     &flane,

@@ -667,7 +667,7 @@ fn sender_loop(
 /// [`EdgeKind::Gate`] self-edge on the sender lane (gate open → sender
 /// resume), tokened by the wire's ordinal.
 fn pass_gate(gate: &SenderGate, telemetry: &Telemetry, causal: &CausalSink, lane: &str) {
-    let held = gate.pass_data_wire();
+    let (wire, held) = gate.pass_data_wire();
     if held.is_zero() {
         return;
     }
@@ -675,7 +675,7 @@ fn pass_gate(gate: &SenderGate, telemetry: &Telemetry, causal: &CausalSink, lane
     telemetry.observe(HistogramId::StallNs, held.as_nanos() as u64);
     let t1 = causal.now();
     let t0 = t1.saturating_sub(SimTime::from_nanos(held.as_nanos() as u64));
-    causal.edge_at(EdgeKind::Gate, lane, t0, lane, t1, gate.wires());
+    causal.edge_at(EdgeKind::Gate, lane, t0, lane, t1, wire);
 }
 
 /// Writer thread (Fig. 8 + Algorithm 1): steal blocks once the policy
@@ -1065,7 +1065,11 @@ mod tests {
         assert_eq!(net.len(), 5);
         assert_eq!(disk, vec![BlockId::new(Rank(0), StepId(0), 5)]);
         assert_eq!(gate.steals(), 1);
-        assert_eq!(gate.wires(), 5, "flushes and EOS marks are not data wires");
+        assert_eq!(
+            gate.pass_data_wire().0,
+            6,
+            "flushes and EOS marks are not data wires"
+        );
     }
 
     #[test]

@@ -401,8 +401,8 @@ pub struct PreflightInput {
 }
 
 impl PreflightInput {
-    /// The threaded runtime's shape, scripts attached separately via
-    /// [`PreflightInput::with_chaos`] / [`PreflightInput::with_backpressure`].
+    /// The threaded runtime's shape, without scripts (set `chaos` and
+    /// `backpressure` after).
     pub fn from_config(cfg: &WorkflowConfig) -> Self {
         PreflightInput {
             producers: cfg.producers,
@@ -420,18 +420,6 @@ impl PreflightInput {
             chaos: None,
             backpressure: None,
         }
-    }
-
-    /// Attach a chaos script (builder style).
-    pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = Some(plan);
-        self
-    }
-
-    /// Attach a backpressure script (builder style).
-    pub fn with_backpressure(mut self, script: BackpressureScript) -> Self {
-        self.backpressure = Some(script);
-        self
     }
 
     /// Blocks each producer rank emits over the whole run.

@@ -63,8 +63,8 @@ use zipper_apps::AppCostModel;
 use zipper_policy::{Channel, ConsumerPolicy, ProducerPolicy, RetireReason};
 use zipper_trace::SpanKind;
 use zipper_types::{
-    BlockId, ChaosEntity, ChaosFault, ChaosScope, GateStep, GateWalk, PreserveMode, ProcId, Rank,
-    SimTime, StepId,
+    BlockId, ChaosEntity, ChaosFault, ChaosScope, GateRule, GateStep, GateWalk, PreserveMode,
+    ProcId, Rank, SimTime, StepId,
 };
 
 /// Gate-flood quantum for fail-open paths: large enough that no realistic
@@ -1203,16 +1203,20 @@ fn build_zipper(
         let policy = Rc::new(RefCell::new(pp));
         policies.producers.push(policy.clone());
 
-        // Backpressure-script gate for this rank, built only when the
-        // script gives it windows. Without a writer there is no one to
-        // earn steal credits, so a message-only rank's walk is cancelled
-        // at build time (the threaded spawn cancels its gate the same
-        // way): credit windows pass, `Hold` windows still apply.
+        // Backpressure-script gate for this rank, built only when one of
+        // its windows can act. Without a writer there is no one to earn
+        // steal credits, so a message-only rank's walk is cancelled at
+        // build time (the threaded spawn cancels its gate the same way):
+        // credit windows pass, `Hold` windows still apply. A message-only
+        // rank with credit windows alone gets no gate at all.
         let gate = spec
             .backpressure
             .as_ref()
             .map(|s| s.windows_for(Rank(r as u32)))
-            .filter(|w| !w.is_empty())
+            .filter(|w| {
+                w.iter()
+                    .any(|w| spec.concurrent_transfer || matches!(w.rule, GateRule::Hold(_)))
+            })
             .map(|windows| {
                 let mut walk = GateWalk::new(windows);
                 if !spec.concurrent_transfer {
@@ -1307,7 +1311,6 @@ mod tests {
     use crate::spec::sim_config;
     use hpcsim::Simulator;
     use zipper_apps::Complexity;
-    use zipper_types::GateRule;
 
     fn tiny_synthetic(concurrent: bool) -> WorkflowSpec {
         let mut s = WorkflowSpec::synthetic(

@@ -338,26 +338,27 @@ impl SenderGate {
     }
 
     /// Count one data wire; if it is gated, hold until the window opens.
-    /// Returns the time spent held (zero for ungated wires), which the
-    /// caller charges to `net.backpressure_ns`.
+    /// Returns the wire's ordinal and the time spent held (zero for
+    /// ungated wires), which the caller charges to `net.backpressure_ns`.
     // Threaded-substrate driver: Hold sleeps the real sender and the
     // armed-window wait is timed on the wall clock; the DES drives the
     // same walk in virtual time.
     #[allow(clippy::disallowed_methods)]
-    pub fn pass_data_wire(&self) -> Duration {
+    pub fn pass_data_wire(&self) -> (u64, Duration) {
         let mut g = self.walk.lock().unwrap();
-        match g.pass_data_wire().1 {
-            GateStep::Pass => Duration::ZERO,
+        let (wire, step) = g.pass_data_wire();
+        match step {
+            GateStep::Pass => (wire, Duration::ZERO),
             GateStep::Hold(d) => {
                 drop(g);
                 if !d.is_zero() {
                     std::thread::sleep(d);
                 }
-                d
+                (wire, d)
             }
             GateStep::AwaitSteals(_) => {
                 if !g.steal_phase() {
-                    return Duration::ZERO; // target already met
+                    return (wire, Duration::ZERO); // target already met
                 }
                 drop(g);
                 // The writer may be parked on the queue below the
@@ -376,7 +377,7 @@ impl SenderGate {
                 // back; wake it again so it re-parks at its normal
                 // threshold instead of stealing past the window.
                 self.wake();
-                t0.elapsed()
+                (wire, t0.elapsed())
             }
         }
     }
@@ -424,11 +425,6 @@ impl SenderGate {
             }
             g = self.opened.wait(g).unwrap();
         }
-    }
-
-    /// Data wires counted so far: the ordinal of the wire last passed.
-    pub fn wires(&self) -> u64 {
-        self.walk.lock().unwrap().wires()
     }
 
     /// Blocks stolen so far (test observability).
@@ -537,8 +533,8 @@ mod tests {
             wire: 3,
             rule: GateRule::OpenAfterSteals(1),
         }]);
-        assert_eq!(gate.pass_data_wire(), Duration::ZERO); // wire 1
-        assert_eq!(gate.pass_data_wire(), Duration::ZERO); // wire 2
+        assert_eq!(gate.pass_data_wire().1, Duration::ZERO); // wire 1
+        assert_eq!(gate.pass_data_wire().1, Duration::ZERO); // wire 2
         assert!(!gate.steal_phase());
     }
 
@@ -557,7 +553,7 @@ mod tests {
             assert!(g2.steal_phase(), "one steal of two leaves the window armed");
             g2.note_steal();
         });
-        let held = gate.pass_data_wire();
+        let (_, held) = gate.pass_data_wire();
         writer.join().unwrap();
         assert!(!gate.steal_phase(), "window disarmed after opening");
         assert_eq!(gate.steals(), 2);
@@ -578,13 +574,13 @@ mod tests {
         ]);
         gate.note_steal();
         assert_eq!(
-            gate.pass_data_wire(),
+            gate.pass_data_wire().1,
             Duration::ZERO,
             "target already met: no hold"
         );
         gate.cancel();
         assert_eq!(
-            gate.pass_data_wire(),
+            gate.pass_data_wire().1,
             Duration::ZERO,
             "retired writer cancels the window"
         );
@@ -597,11 +593,11 @@ mod tests {
             wire: 2,
             rule: GateRule::Hold(Duration::from_millis(20)),
         }]);
-        assert_eq!(gate.pass_data_wire(), Duration::ZERO);
+        assert_eq!(gate.pass_data_wire().1, Duration::ZERO);
         // Timed test of the real hold: wall clock is the thing under test.
         #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now();
-        let held = gate.pass_data_wire();
+        let (_, held) = gate.pass_data_wire();
         assert_eq!(held, Duration::from_millis(20));
         assert!(t0.elapsed() >= Duration::from_millis(15));
     }
