@@ -74,16 +74,6 @@ impl ConsumerPolicy {
         self.rank
     }
 
-    /// Marks this consumer must see before the stream is complete.
-    pub fn eos_expected(&self) -> usize {
-        self.tracker.expected()
-    }
-
-    /// Marks seen so far (deduplicated).
-    pub fn eos_seen(&self) -> usize {
-        self.tracker.seen()
-    }
-
     /// Whether every expected end-of-stream mark has arrived.
     pub fn is_complete(&self) -> bool {
         self.completed

@@ -164,6 +164,36 @@ mod proptests {
             prop_assert_eq!(t.producers_done(), producers);
         }
 
+        /// Under any mark order, with duplicates and inactive-channel
+        /// marks mixed in, `seen()` equals an independent recount after
+        /// every `note`, and `is_complete()` flips exactly on the last new
+        /// mark.
+        #[test]
+        fn eos_seen_matches_a_recount_under_any_mark_order(
+            producers in 1usize..8,
+            concurrent in proptest::bool::ANY,
+            marks in proptest::collection::vec((0usize..8, proptest::bool::ANY), 0..48),
+        ) {
+            let mut t = EosTracker::new(producers, concurrent);
+            let mut recount = std::collections::BTreeSet::new();
+            let all = (0..producers).flat_map(|p| Channel::active(concurrent).iter().map(move |&c| (p, c)));
+            let tail: Vec<_> = all.collect();
+            let random = marks.iter().map(|&(p, disk)| {
+                (p % producers, if disk { Channel::Disk } else { Channel::Net })
+            });
+            for (p, channel) in random.chain(tail) {
+                let was_complete = t.is_complete();
+                let new = t.note(Rank(p as u32), channel);
+                let active = Channel::active(concurrent).contains(&channel);
+                prop_assert_eq!(new, active && recount.insert((p, channel)));
+                prop_assert_eq!(t.seen(), recount.len());
+                let complete = recount.len() == t.expected();
+                prop_assert_eq!(t.is_complete(), complete);
+                prop_assert_eq!(!was_complete && t.is_complete(), new && complete);
+            }
+            prop_assert!(t.is_complete());
+        }
+
         /// Full producer-side façade determinism: identical take sequences
         /// yield identical decision traces (the replay property Config C of
         /// the conformance harness checks against the live runtime).

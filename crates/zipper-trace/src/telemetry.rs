@@ -714,6 +714,13 @@ impl Probe {
         }
     }
 
+    /// Whether a period boundary has been reached by `now`, i.e. whether
+    /// [`Probe::poll`] would emit a sample. Lets the caller mirror
+    /// external state into the registry only when a sample will read it.
+    pub fn due(&self, now: SimTime) -> bool {
+        self.next <= now
+    }
+
     /// Advance to virtual time `now`, emitting one sample per elapsed
     /// period boundary. Timestamps are the boundaries themselves, so the
     /// series is monotone and deterministic.

@@ -5,10 +5,12 @@ use std::time::Duration;
 use zipper_apps::Complexity;
 use zipper_trace::stats::kind_time_filtered;
 use zipper_trace::SpanKind;
+use zipper_transports::spec::{sim_config, ClusterLayout};
+use zipper_transports::zipper::build_recorded;
 use zipper_transports::{
     run, run_analysis_only, run_sim_only, run_with_detail, TransportKind, WorkflowSpec,
 };
-use zipper_types::{BackpressureScript, GateRule, Rank, RoutingPolicy};
+use zipper_types::{BackpressureScript, ByteSize, GateRule, Rank, RoutingPolicy};
 
 fn tiny_cfd() -> WorkflowSpec {
     let mut s = WorkflowSpec::cfd(6, 3, 4);
@@ -307,4 +309,150 @@ fn mpiio_touches_pfs_staging_transports_do_not() {
         let r = run(kind, &spec);
         assert_eq!(r.pfs_requests, 0, "{} must not touch the PFS", r.name);
     }
+}
+
+/// FNV-1a over a rendering: a stable digest for pinning outputs too large
+/// to spell out.
+fn digest(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// An EOS-heavy Zipper run (192 producers announce to 96 consumers on
+/// both channels: 36,864 marks) is pinned exactly: event count, virtual
+/// end, fabric-wide XmitWait and every canonical decision trace. Any
+/// change to the event engine or the EOS bookkeeping must reproduce the
+/// same events in the same order.
+#[test]
+fn eos_fan_in_run_is_pinned() {
+    let spec = WorkflowSpec::synthetic(
+        Complexity::Linear,
+        192,
+        96,
+        ByteSize::mib(4).as_u64(),
+        ByteSize::mib(1).as_u64(),
+    );
+    let layout = ClusterLayout::new(&spec, 0);
+    let mut sim = hpcsim::Simulator::new(sim_config(&spec, &layout));
+    sim.set_trace_detail(false);
+    let policies = build_recorded(&mut sim, &spec, &layout);
+    let r = sim.run();
+    assert!(r.is_clean(), "{r:?}");
+    let nodes = sim.network().config().total_nodes();
+    let traces: String = policies
+        .producers
+        .iter()
+        .map(|p| format!("{:?}", p.borrow().trace().canonical()))
+        .chain(
+            policies
+                .consumers
+                .iter()
+                .map(|c| format!("{:?}", c.borrow().trace().canonical())),
+        )
+        .collect();
+    assert_eq!(
+        (
+            r.events,
+            r.end.as_nanos(),
+            sim.network().xmit_wait_sum(0..nodes),
+            digest(&traces),
+        ),
+        (
+            115_912,
+            50_157_071,
+            4_293_424_102,
+            9_861_087_532_412_954_889
+        )
+    );
+}
+
+/// Every transport's detailed run on a small CFD workflow is pinned:
+/// event count, end-to-end time, XmitWait on the simulation nodes, and
+/// the virtual-clock telemetry series and final metrics.
+#[test]
+fn small_cfd_runs_are_pinned_for_every_transport() {
+    let spec = tiny_cfd();
+    let got: Vec<_> = TransportKind::ALL
+        .iter()
+        .map(|&kind| {
+            let r = run(kind, &spec);
+            assert!(r.is_clean(), "{}: {:?}", r.name, r.fault);
+            (
+                r.name,
+                r.events,
+                r.end_to_end.as_nanos(),
+                r.xmit_wait_sim,
+                digest(&format!("{:?}", r.samples)),
+                digest(&format!("{:?}", r.metrics)),
+            )
+        })
+        .collect();
+    let want = [
+        (
+            "MPI-IO",
+            383,
+            2_162_491_113,
+            235_268,
+            5_508_551_366_917_784_178,
+            14_133_973_754_562_396_687,
+        ),
+        (
+            "ADIOS/DataSpaces",
+            619,
+            4_894_726_250,
+            98_924_828,
+            2_833_128_895_128_376_055,
+            9_540_314_338_910_926_002,
+        ),
+        (
+            "DataSpaces (native)",
+            588,
+            4_518_803_276,
+            59_286_890,
+            12_343_271_219_212_710_496,
+            307_071_697_662_740_293,
+        ),
+        (
+            "ADIOS/DIMES",
+            770,
+            5_610_291_398,
+            27_296_659,
+            15_334_421_402_914_669_182,
+            11_076_625_718_542_988_207,
+        ),
+        (
+            "DIMES (native)",
+            749,
+            4_284_844_554,
+            27_248_390,
+            1_268_995_094_483_390_873,
+            17_897_703_946_731_890_726,
+        ),
+        (
+            "ADIOS/Flexpath",
+            440,
+            4_267_948_774,
+            490_308,
+            4_296_538_833_042_152_294,
+            5_684_256_054_749_641_279,
+        ),
+        (
+            "Decaf",
+            400,
+            3_705_836_168,
+            59_286_890,
+            16_710_226_393_548_673_300,
+            1_350_511_423_447_750_500,
+        ),
+        (
+            "Zipper",
+            2296,
+            1_961_956_896,
+            185_612_040,
+            12_468_103_185_031_852_866,
+            13_438_149_890_225_492_059,
+        ),
+    ];
+    assert_eq!(got, want);
 }
