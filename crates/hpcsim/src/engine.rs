@@ -106,6 +106,42 @@ enum Event {
     },
 }
 
+/// Entries per [`Lane`] block.
+const LANE_BLOCK: usize = 64;
+
+/// The deliveries waiting behind a lane's head, in fixed-size blocks: a
+/// lane never reallocates, and a block one lane frees fits any lane, so the
+/// hundreds of lanes that are long at once at a fan-in peak carry no slack.
+#[derive(Default)]
+struct Lane {
+    blocks: VecDeque<Box<[Option<QEntry>; LANE_BLOCK]>>,
+    /// Slot of the oldest entry in `blocks[0]`.
+    head: usize,
+    len: usize,
+}
+
+impl Lane {
+    fn push(&mut self, entry: QEntry) {
+        let end = self.head + self.len;
+        if end == self.blocks.len() * LANE_BLOCK {
+            self.blocks
+                .push_back(Box::new(std::array::from_fn(|_| None)));
+        }
+        self.blocks[end / LANE_BLOCK][end % LANE_BLOCK] = Some(entry);
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<QEntry> {
+        let entry = self.blocks.front_mut()?[self.head].take()?;
+        self.len -= 1;
+        self.head = (self.head + 1) % LANE_BLOCK;
+        if self.head == 0 {
+            self.blocks.pop_front();
+        }
+        Some(entry)
+    }
+}
+
 struct QEntry {
     time: SimTime,
     seq: u64,
@@ -165,7 +201,7 @@ pub struct Simulator {
     /// Deliveries queued behind their lane's head: `lanes[n]` holds node
     /// `n`'s NIC-rx lane, `lanes[nodes + n]` its memory-channel lane.
     /// `None` means the lane has no head in the heap.
-    lanes: Vec<Option<VecDeque<QEntry>>>,
+    lanes: Vec<Option<Lane>>,
     procs: Vec<ProcSlot>,
     buffers: Vec<SimBuffer>,
     locks: Vec<SimLock>,
@@ -353,8 +389,7 @@ impl Simulator {
     }
 
     /// Fire the sampling probe for any period boundaries crossed up to the
-    /// current virtual time. The mirrored metrics are plain stores read
-    /// only by samples, so they are refreshed only when a sample is due.
+    /// current virtual time; the mirrored metrics are read only by samples.
     fn poll_telemetry(&mut self) {
         if self.probe.as_ref().is_some_and(|p| p.due(self.now)) {
             self.refresh_metrics();
@@ -500,16 +535,9 @@ impl Simulator {
         };
         self.seq += 1;
         match self.lane_of(&entry.event).map(|l| &mut self.lanes[l]) {
-            Some(Some(tail)) => {
-                // Grow by a quarter, not double: at a fan-in peak every
-                // receiver's lane is long at once, and each pays the slack.
-                if tail.len() == tail.capacity() {
-                    tail.reserve_exact(tail.len() / 4 + 16);
-                }
-                tail.push_back(entry);
-            }
+            Some(Some(tail)) => tail.push(entry),
             Some(slot) => {
-                *slot = Some(VecDeque::new());
+                *slot = Some(Lane::default());
                 self.queue.push(entry);
             }
             None => self.queue.push(entry),
@@ -521,28 +549,11 @@ impl Simulator {
     fn lane_of(&self, event: &Event) -> Option<usize> {
         match event {
             Event::Deliver { to, msg } | Event::AsyncDelivered { to, msg } => {
-                let dst = self.procs[to.idx()].node.idx();
+                let (dst, src) = (self.procs[to.idx()].node, self.procs[msg.from.idx()].node);
                 let nodes = self.lanes.len() / 2;
-                Some(if dst == self.procs[msg.from.idx()].node.idx() {
-                    nodes + dst
-                } else {
-                    dst
-                })
+                Some(dst.idx() + if dst == src { nodes } else { 0 })
             }
             Event::Resume(_) | Event::RecvTimeout { .. } => None,
-        }
-    }
-
-    /// A lane's head left the heap: put the next delivery in its place, or
-    /// release the lane's buffer once it is drained.
-    fn advance_lane(&mut self, lane: usize, head: SimTime) {
-        let slot = &mut self.lanes[lane];
-        match slot.as_mut().and_then(VecDeque::pop_front) {
-            Some(next) => {
-                debug_assert!(next.time >= head, "delivery lane out of order");
-                self.queue.push(next);
-            }
-            None => *slot = None,
         }
     }
 
@@ -563,7 +574,16 @@ impl Simulator {
     pub fn run_until(&mut self, horizon: SimTime) -> RunReport {
         while let Some(entry) = self.queue.pop() {
             if let Some(lane) = self.lane_of(&entry.event) {
-                self.advance_lane(lane, entry.time);
+                // A lane head left: the lane's next delivery takes its place
+                // in the heap, or the drained lane releases its blocks.
+                let slot = &mut self.lanes[lane];
+                match slot.as_mut().and_then(Lane::pop) {
+                    Some(next) => {
+                        debug_assert!(next.time >= entry.time, "delivery lane out of order");
+                        self.queue.push(next);
+                    }
+                    None => *slot = None,
+                }
             }
             if entry.time > horizon {
                 // Past the horizon: stop (drop the event; horizon runs are
@@ -1579,6 +1599,30 @@ mod tests {
             ]
         );
         assert_eq!(r.end, SimTime::from_nanos(6_000));
+    }
+
+    #[test]
+    fn lane_is_fifo_across_blocks() {
+        let entry = |seq| QEntry {
+            time: SimTime::from_nanos(seq),
+            seq,
+            event: Event::Resume(ProcId(0)),
+        };
+        let mut lane = Lane::default();
+        let (mut pushed, mut popped) = (0, 0);
+        // Fill past several blocks, drain part way, refill, then drain.
+        for (push, pop) in [(150, 100), (200, 250)] {
+            for _ in 0..push {
+                lane.push(entry(pushed));
+                pushed += 1;
+            }
+            for _ in 0..pop {
+                assert_eq!(lane.pop().map(|e| e.seq), Some(popped));
+                popped += 1;
+            }
+        }
+        assert!(lane.pop().is_none());
+        assert!(lane.blocks.len() <= 1, "drained blocks are released");
     }
 
     #[test]

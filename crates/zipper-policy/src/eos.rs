@@ -55,15 +55,12 @@ impl EosProgress {
 /// Duplicate marks are ignored (at-least-once delivery is fine), and marks
 /// on an inactive channel are ignored too, so a stray `Disk` mark in a
 /// message-only run cannot make completion fire early or late.
-///
-/// A running count of new marks makes [`seen`](EosTracker::seen) and
-/// [`is_complete`](EosTracker::is_complete) O(1); a consumer checks
-/// completion on every mark.
 #[derive(Clone, Debug)]
 pub struct EosTracker {
     /// `marks[p]` = [net seen, disk seen] for producer `p`.
     marks: Vec<[bool; 2]>,
-    /// New marks on active channels so far.
+    /// New marks on active channels so far, so `seen()` and
+    /// `is_complete()` are O(1).
     seen: usize,
     concurrent: bool,
 }
