@@ -106,21 +106,21 @@ enum Event {
     },
 }
 
-/// Entries per [`Lane`] block.
+/// Entries per [`DeliveryLane`] block.
 const LANE_BLOCK: usize = 64;
 
 /// The deliveries waiting behind a lane's head, in fixed-size blocks: a
 /// lane never reallocates, and a block one lane frees fits any lane, so the
 /// hundreds of lanes that are long at once at a fan-in peak carry no slack.
 #[derive(Default)]
-struct Lane {
+struct DeliveryLane {
     blocks: VecDeque<Box<[Option<QEntry>; LANE_BLOCK]>>,
     /// Slot of the oldest entry in `blocks[0]`.
     head: usize,
     len: usize,
 }
 
-impl Lane {
+impl DeliveryLane {
     fn push(&mut self, entry: QEntry) {
         let end = self.head + self.len;
         if end == self.blocks.len() * LANE_BLOCK {
@@ -201,7 +201,7 @@ pub struct Simulator {
     /// Deliveries queued behind their lane's head: `lanes[n]` holds node
     /// `n`'s NIC-rx lane, `lanes[nodes + n]` its memory-channel lane.
     /// `None` means the lane has no head in the heap.
-    lanes: Vec<Option<Lane>>,
+    lanes: Vec<Option<DeliveryLane>>,
     procs: Vec<ProcSlot>,
     buffers: Vec<SimBuffer>,
     locks: Vec<SimLock>,
@@ -537,7 +537,7 @@ impl Simulator {
         match self.lane_of(&entry.event).map(|l| &mut self.lanes[l]) {
             Some(Some(tail)) => tail.push(entry),
             Some(slot) => {
-                *slot = Some(Lane::default());
+                *slot = Some(DeliveryLane::default());
                 self.queue.push(entry);
             }
             None => self.queue.push(entry),
@@ -577,7 +577,7 @@ impl Simulator {
                 // A lane head left: the lane's next delivery takes its place
                 // in the heap, or the drained lane releases its blocks.
                 let slot = &mut self.lanes[lane];
-                match slot.as_mut().and_then(Lane::pop) {
+                match slot.as_mut().and_then(DeliveryLane::pop) {
                     Some(next) => {
                         debug_assert!(next.time >= entry.time, "delivery lane out of order");
                         self.queue.push(next);
@@ -1608,7 +1608,7 @@ mod tests {
             seq,
             event: Event::Resume(ProcId(0)),
         };
-        let mut lane = Lane::default();
+        let mut lane = DeliveryLane::default();
         let (mut pushed, mut popped) = (0, 0);
         // Fill past several blocks, drain part way, refill, then drain.
         for (push, pop) in [(150, 100), (200, 250)] {
